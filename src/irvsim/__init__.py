@@ -28,6 +28,7 @@ from .dist import (
     parse_dist_spec,
 )
 from .errors import (
+    CheckFailed,
     DomainError,
     InvalidProfileError,
     IrvsimError,

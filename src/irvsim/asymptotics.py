@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import Uniform, VoterDistribution
-from .errors import DomainError
+from .errors import DomainError, require
 from .tabulate import Rule, irv_batch, plurality_batch, shares_batch
 
 __all__ = [
@@ -144,7 +144,7 @@ def winning_share_experiment(k: int, trials: int, rng) -> GumbelExperimentResult
     for chunk in _trial_chunks(trials, k):
         pos = np.sort(rng.random((chunk, k)), axis=1)
         v = shares_batch(pos, Uniform()).max(axis=1)
-        assert np.all(v >= 1.0 / k)  # pigeonhole: some share is >= 1/k
+        require(np.all(v >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
         stats[out : out + chunk] = 2.0 * n * v - center
         out += chunk
     return GumbelExperimentResult(k, trials, stats, ks_statistic(stats, gumbel_cdf))
@@ -170,7 +170,7 @@ def max_gap_experiment(n: int, trials: int, rng) -> GumbelExperimentResult:
         edges[:, 1:-1] = cuts
         edges[:, -1] = 1.0
         gaps = np.diff(edges, axis=1)
-        assert np.all(np.abs(gaps.sum(axis=1) - 1.0) < 1e-12)
+        require(np.all(np.abs(gaps.sum(axis=1) - 1.0) < 1e-12), "gaps do not sum to 1")
         stats[out : out + chunk] = n * gaps.max(axis=1) - logn
         out += chunk
     return GumbelExperimentResult(n, trials, stats, ks_statistic(stats, gumbel_cdf))
@@ -201,8 +201,10 @@ def circle_coupling_experiment(k: int, trials: int, rng) -> float:
         pos = np.sort(rng.random((chunk, k)), axis=1)
         circle = _circle_shares(pos)
         interval = shares_batch(pos, Uniform())
-        assert np.all(np.abs(circle.sum(axis=1) - 1.0) < 1e-12)
-        assert np.all(np.abs(circle[:, 1:-1] - interval[:, 1:-1]) < 1e-12)
+        require(np.all(np.abs(circle.sum(axis=1) - 1.0) < 1e-12),
+                "circle shares do not sum to 1")
+        require(np.all(np.abs(circle[:, 1:-1] - interval[:, 1:-1]) < 1e-12),
+                "circle and interval shares differ away from the cut")
         disagree += int(
             np.count_nonzero(circle.argmax(axis=1) != interval.argmax(axis=1))
         )
@@ -223,7 +225,7 @@ def winner_uniformity_experiment(
 ) -> UniformityResult:
     """Winner positions over repeated random profiles, with KS vs Uniform(0,1).
 
-    For uniform voters under IRV this also asserts, per trial, that the winner
+    For uniform voters under IRV this also checks, per trial, that the winner
     lies in [1/6, 5/6] whenever any candidate does.
     """
     if k < 1:
@@ -241,7 +243,8 @@ def winner_uniformity_experiment(
             w, _ = irv_batch(pos, d)
             if uniform_voters:
                 has_moderate = np.any((pos >= 1 / 6) & (pos <= 5 / 6), axis=1)
-                assert np.all((w[has_moderate] >= 1 / 6) & (w[has_moderate] <= 5 / 6))
+                require(np.all((w[has_moderate] >= 1 / 6) & (w[has_moderate] <= 5 / 6)),
+                        "an IRV winner escaped [1/6, 5/6]")
         winners[out : out + chunk] = w
         out += chunk
     ks = ks_statistic(winners, lambda x: x) if uniform_voters else None

@@ -34,3 +34,13 @@ class NoZoneError(IrvsimError):
 
 class UnconstructibleError(IrvsimError):
     """The requested plurality-winner construction is impossible."""
+
+
+class CheckFailed(IrvsimError):
+    """A verification check or a simulation invariant found its claim false."""
+
+
+def require(condition, message: str):
+    """Raise CheckFailed(message) unless `condition` holds; survives python -O."""
+    if not condition:
+        raise CheckFailed(message)

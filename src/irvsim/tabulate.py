@@ -34,6 +34,7 @@ __all__ = [
     "shares_batch",
     "plurality_batch",
     "irv_batch",
+    "winners",
 ]
 
 
@@ -308,16 +309,52 @@ def plurality_batch(sorted_pos: np.ndarray, d: VoterDistribution):
 
 
 def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution):
-    """IRV winner positions and tie flags for each row of sorted positions."""
-    pos = np.array(sorted_pos, dtype=float)
+    """IRV winner positions and tie flags for each row of sorted positions.
+
+    Neighbour-linked elimination: each row keeps the cuts 0, F(midpoint of
+    each adjacent active pair), 1, and its shares are their differences.
+    Dropping candidate j merges the two cuts around it, so only a row whose j
+    was interior needs one new value, F(0.5 * (left + right)). That is
+    2k - 3 CDF values per row instead of k(k - 1)/2, and each cut is the
+    same expression a full recompute evaluates, so winners and tie flags are
+    identical to recomputing every share each round.
+
+    The loser is the leftmost candidate at the minimal share; a row's tie
+    flag is set when any round's minimum is shared exactly.
+    """
+    pos = np.asarray(sorted_pos, dtype=float)
     n, k = pos.shape
+    # Candidate-major layout: each round's reductions run over rows at once.
+    pos = np.ascontiguousarray(pos.T)
     tie = np.zeros(n, dtype=bool)
-    rows = np.arange(n)
+    if k == 1:
+        return pos[0], tie
+    cols = np.arange(n)
+    cuts = np.empty((k + 1, n))
+    cuts[0] = 0.0
+    cuts[-1] = 1.0
+    cuts[1:-1] = d.cdf(0.5 * (pos[:-1] + pos[1:]))
     for m in range(k, 1, -1):
-        shares = shares_batch(pos, d)
-        j = np.argmin(shares, axis=1)  # first occurrence = leftmost tie policy
-        low = shares[rows, j]
-        tie |= (shares == low[:, None]).sum(axis=1) > 1
-        keep = np.arange(m)[None, :] != j[:, None]
-        pos = pos[keep].reshape(n, m - 1)
-    return pos[:, 0], tie
+        shares = np.diff(cuts, axis=0)
+        at_low = shares == shares.min(axis=0)
+        tie |= np.count_nonzero(at_low, axis=0) > 1
+        j = np.argmax(at_low, axis=0)  # first minimum: eliminate leftmost
+        if m == 2:
+            return pos[1 - j, cols], tie
+        # Drop candidate j and the cut to its right (to its left if it is the
+        # rightmost, keeping the final cut at 1).
+        pos = np.where(np.arange(m - 1)[:, None] < j, pos[:-1], pos[1:])
+        dropped = np.minimum(j + 1, m - 1)
+        cuts = np.where(np.arange(m)[:, None] < dropped, cuts[:-1], cuts[1:])
+        inner = np.nonzero((j > 0) & (j < m - 1))[0]
+        if inner.size:
+            ji = j[inner]
+            cuts[ji, inner] = d.cdf(0.5 * (pos[ji - 1, inner] + pos[ji, inner]))
+
+
+def winners(rule: Rule, sorted_pos: np.ndarray, d: VoterDistribution):
+    """Winner positions and exact-tie flags for each row under `rule`."""
+    if rule is Rule.PLURALITY:
+        w, _, tie = plurality_batch(sorted_pos, d)
+        return w, tie
+    return irv_batch(sorted_pos, d)

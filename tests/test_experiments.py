@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +132,54 @@ def test_verify_detects_injected_fault(monkeypatch):
     names = {c["name"]: c["passed"] for c in report["checks"]}
     assert not names["uniform-zone-sweep"]
     assert not report["passed"]
+
+
+def test_check_records_any_exception_as_failure():
+    def crash():
+        raise ZeroDivisionError("boom")
+
+    result = experiments._check("crash", "claim", None, crash)
+    assert not result["passed"]
+    assert result["detail"] == "ZeroDivisionError: boom"
+
+
+# 1879842187 reached a 0.50011/0.49989 final round that the first-round
+# margin filter let through.
+@pytest.mark.parametrize("seed", [1879842187, *range(20)])
+def test_oracle_check_sound_across_seeds(seed):
+    detail = experiments._verify_oracle_equivalence(seed)
+    assert detail["checked"] == detail["agreed"] == 30
+
+
+def _run_python(flags, code):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
+def test_verify_fails_under_python_O():
+    # Same fault as above, in a process where assert statements are stripped.
+    code = (
+        "import numpy as np\n"
+        "from irvsim import cli, tabulate\n"
+        "tabulate.irv_batch = lambda pos, d: (pos[:, 0], np.zeros(pos.shape[0], bool))\n"
+        "raise SystemExit(cli.main(['verify', '--seed', '0']))\n"
+    )
+    proc = _run_python(["-O"], code)
+    assert proc.returncode == 2, proc.stderr
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["uniform-zone-sweep"]["detail"].startswith("CheckFailed:")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, irvsim.cli; print('scipy' in sys.modules)"
+    proc = _run_python([], code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from irvsim.dist import SymmetricBeta, Uniform
+from irvsim.dist import SymmetricBeta, Tabulated, Uniform
 from irvsim.errors import InvalidProfileError, TieError
 from irvsim.tabulate import (
     Profile,
+    Rule,
     TieRule,
     irv_batch,
     irv_discrete,
@@ -15,9 +20,24 @@ from irvsim.tabulate import (
     sample_sorted_positions,
     shares_batch,
     vote_shares,
+    winners,
 )
 
 U = Uniform()
+
+
+def _cos2_table():
+    """The benchmark's custom electorate: density 0.4 + cos^2(2 pi x)."""
+    x = np.linspace(0.0, 1.0, 201)
+    return Tabulated(x, 0.4 + np.cos(2.0 * math.pi * x) ** 2)
+
+
+DISTS = {
+    "uniform": U,
+    "beta0.3": SymmetricBeta(0.3),
+    "beta2": SymmetricBeta(2.0),
+    "cos2-table": _cos2_table(),
+}
 
 
 def test_profile_validation():
@@ -164,3 +184,77 @@ def test_batch_tie_flags():
     assert tie[0]
     _, tie_r = irv_batch(pos, U)
     assert tie_r[0]
+
+
+def _irv_batch_full_recompute(sorted_pos, d):
+    """Reference: recompute every share each round, then drop the loser."""
+    pos = np.array(sorted_pos, dtype=float)
+    n, k = pos.shape
+    tie = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    for m in range(k, 1, -1):
+        shares = shares_batch(pos, d)
+        j = np.argmin(shares, axis=1)  # first occurrence = leftmost tie policy
+        low = shares[rows, j]
+        tie |= (shares == low[:, None]).sum(axis=1) > 1
+        keep = np.arange(m)[None, :] != j[:, None]
+        pos = pos[keep].reshape(n, m - 1)
+    return pos[:, 0], tie
+
+
+def _grid_profiles(k, n, rng, denominator=16):
+    """Sorted rows on a coarse dyadic grid, where exact share ties are common."""
+    pos = np.sort(rng.integers(0, denominator + 1, (n, k)) / denominator, axis=1)
+    return pos[np.all(np.diff(pos, axis=1) > 0, axis=1)]
+
+
+@pytest.mark.parametrize("name", sorted(DISTS))
+def test_irv_batch_matches_full_recompute_bitwise(name):
+    d = DISTS[name]
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 4, 5, 8, 13, 30):
+        for pos in (sample_sorted_positions(d, k, 500, rng), _grid_profiles(k, 500, rng)):
+            w, tie = irv_batch(pos, d)
+            w_ref, tie_ref = _irv_batch_full_recompute(pos, d)
+            assert w.tobytes() == w_ref.tobytes()
+            assert np.array_equal(tie, tie_ref)
+    # The grid rows do produce ties, so the tie path is exercised.
+    assert _irv_batch_full_recompute(_grid_profiles(4, 500, rng), U)[1].any()
+
+
+_profile_point = st.one_of(
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.integers(0, 32).map(lambda i: i / 32),  # grid points: exact ties
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DISTS)),
+    rows=st.integers(1, 12).flatmap(
+        lambda k: st.lists(
+            st.lists(_profile_point, min_size=k, max_size=k, unique=True),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+)
+@example(name="uniform", rows=[[0.25, 0.75]])
+@example(name="uniform", rows=[[0.25, 0.5, 0.75], [0.1, 0.45, 0.95]])
+@example(name="beta2", rows=[[0.5]])
+def test_irv_batch_matches_scalar_tabulator(name, rows):
+    d = DISTS[name]
+    pos = np.sort(np.array(rows, dtype=float), axis=1)
+    w, tie = irv_batch(pos, d)
+    for i, row in enumerate(pos):
+        out = irv_winner(Profile(row), d)
+        assert w[i] == out.winner_position
+        assert tie[i] == bool(out.tie_events)
+
+
+def test_winners_dispatch():
+    rng = np.random.default_rng(12)
+    pos = sample_sorted_positions(U, 6, 300, rng)
+    wp, _, tie_p = plurality_batch(pos, U)
+    assert all(np.array_equal(a, b) for a, b in zip(winners(Rule.PLURALITY, pos, U), (wp, tie_p)))
+    assert all(np.array_equal(a, b) for a, b in zip(winners(Rule.IRV, pos, U), irv_batch(pos, U)))
