@@ -39,6 +39,7 @@ from .errors import (
 )
 from .exactk3 import (
     PiecewisePolynomial,
+    density_k3,
     irv_density_k3,
     irv_tail_density,
     order_statistic_win_prob,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +29,28 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; the contract here is 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _int_at_least(lo: int):
+    """argparse type: an int >= lo."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="exact k=3 winner densities on a grid")
     _add_common(p)
     p.add_argument("--rule", choices=("plurality", "irv"), default="irv")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=_int_at_least(2), default=1001)
 
     p = sub.add_parser("zone", help="exclusion zone for a voter distribution")
     _add_common(p)
@@ -93,56 +106,48 @@ def _rules(name: str):
     return (Rule(name),)
 
 
-def _emit(payload: dict, fmt: str):
+def _emit(payload: dict):
     print(json.dumps(payload, indent=2, default=str))
 
 
+def _config(args, **fields) -> ExperimentConfig:
+    """The driver config from the common flags plus the subcommand's `fields`."""
+    return ExperimentConfig(master_seed=args.seed, out_dir=args.out, threads=args.threads, **fields)
+
+
 def _cmd_simulate(args) -> int:
-    cfg = ExperimentConfig(
-        rules=_rules(args.rule),
-        dist_spec=args.dist,
-        ks=tuple(args.k),
-        trials=args.trials,
-        master_seed=args.seed,
-        out_dir=args.out,
-        fmt=args.format,
-        threads=args.threads,
-    )
-    result = experiments.run_winner_histograms(cfg)
-    _emit(result["summaries"], args.format)
+    cfg = _config(args, rules=_rules(args.rule), dist_spec=args.dist, ks=tuple(args.k),
+                  trials=args.trials)
+    _emit(experiments.run_winner_histograms(cfg)["summaries"])
     return EXIT_OK
 
 
 def _cmd_density(args) -> int:
-    dens = (
-        exactk3.plurality_density_k3()
-        if args.rule == "plurality"
-        else exactk3.irv_density_k3()
-    )
     grid = np.linspace(0.0, 1.0, args.points)
-    values = dens(grid)
+    values = exactk3.density_k3(Rule(args.rule))(grid)
     if args.out is not None:
         path = Path(args.out) / f"exact_density_{args.rule}_k3.csv"
-        write_csv(path, ["x", "density"], zip(grid, values))
-        RunManifest({"rule": args.rule, "points": args.points}).write(path)
+        write_csv(path, ["x", "density"], [grid, values],
+                  RunManifest({"rule": args.rule, "points": args.points}))
         print(str(path))
     else:
-        _emit({"x": grid.tolist(), "density": values.tolist()}, args.format)
+        _emit({"x": grid.tolist(), "density": values.tolist()})
     return EXIT_OK
 
 
 def _cmd_zone(args) -> int:
     d = parse_dist_spec(args.dist)
     zone = zones.min_zone_numeric(d) if args.numeric else zones.zone_closed_form(d)
-    _emit(zone.to_json(), args.format)
+    _emit(zone.to_json())
     return EXIT_OK
 
 
 def _cmd_gumbel(args) -> int:
+    t0 = time.monotonic()
     rng = experiments.chunk_rng(args.seed, f"cli/gumbel/{args.mode}", 0)
     if args.mode == "circle":
         rate = asymptotics.circle_coupling_experiment(args.k, args.trials, rng)
-        _emit({"k": args.k, "trials": args.trials, "disagreement_rate": rate}, args.format)
+        _emit({"k": args.k, "trials": args.trials, "disagreement_rate": rate})
         return EXIT_OK
     if args.mode == "share":
         res = asymptotics.winning_share_experiment(args.k, args.trials, rng)
@@ -150,52 +155,29 @@ def _cmd_gumbel(args) -> int:
         res = asymptotics.max_gap_experiment(args.k, args.trials, rng)
     if args.out is not None:
         path = Path(args.out) / f"gumbel_{args.mode}_k{args.k}.csv"
-        write_csv(path, ["trial", "statistic"], enumerate(res.statistics))
-        RunManifest({"mode": args.mode, "k": args.k, "seed": args.seed},
-                    summaries=res.summary()).write(path)
-    _emit(res.summary(), args.format)
+        config = {"mode": args.mode, "k": args.k, "trials": args.trials, "seed": args.seed}
+        write_csv(path, ["trial", "statistic"], [np.arange(res.statistics.size), res.statistics],
+                  RunManifest(config, duration_seconds=time.monotonic() - t0,
+                              summaries=res.summary()))
+    _emit(res.summary())
     return EXIT_OK
 
 
 def _cmd_scatter(args) -> int:
-    cfg = ExperimentConfig(
-        dist_spec=args.dist,
-        ks=tuple(args.k),
-        trials=args.trials,
-        master_seed=args.seed,
-        out_dir=args.out,
-        fmt=args.format,
-        threads=args.threads,
-    )
-    result = experiments.run_scatter(cfg)
-    _emit(result["summaries"], args.format)
+    cfg = _config(args, dist_spec=args.dist, ks=tuple(args.k), trials=args.trials)
+    _emit(experiments.run_scatter(cfg)["summaries"])
     return EXIT_OK
 
 
 def _cmd_betasweep(args) -> int:
-    cfg = ExperimentConfig(
-        alphas=tuple(args.alpha),
-        ks=(args.k,),
-        trials=args.trials,
-        master_seed=args.seed,
-        out_dir=args.out,
-        fmt=args.format,
-        threads=args.threads,
-    )
-    result = experiments.run_beta_sweep(cfg)
-    _emit(result["summaries"], args.format)
+    cfg = _config(args, alphas=tuple(args.alpha), ks=(args.k,), trials=args.trials)
+    _emit(experiments.run_beta_sweep(cfg)["summaries"])
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    cfg = ExperimentConfig(
-        master_seed=args.seed,
-        out_dir=args.out,
-        fmt=args.format,
-        threads=args.threads,
-    )
-    report = experiments.run_verify(cfg)
-    _emit(report, args.format)
+    report = experiments.run_verify(_config(args))
+    _emit(report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 
 

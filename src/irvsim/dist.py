@@ -183,10 +183,10 @@ class Tabulated(VoterDistribution):
             raise DomainError("grid and densities must be 1-d arrays of equal length >= 2")
         if grid[0] != 0.0 or grid[-1] != 1.0:
             raise DomainError("grid must span [0, 1]")
-        if np.any(np.diff(grid) <= 0):
+        if not np.all(np.diff(grid) > 0):
             raise DomainError("grid must be strictly increasing")
-        if np.any(densities < 0):
-            raise DomainError("densities must be nonnegative")
+        if not np.all(np.isfinite(densities) & (densities >= 0)):
+            raise DomainError("densities must be finite and nonnegative")
 
         total = np.trapezoid(densities, grid)
         if total <= 0:
@@ -289,10 +289,14 @@ def parse_dist_spec(spec: str) -> VoterDistribution:
     """Parse a CLI distribution spec: uniform | beta:<alpha> | table:<path>."""
     if spec == "uniform":
         return Uniform()
-    if spec.startswith("beta:"):
-        return SymmetricBeta(float(spec.split(":", 1)[1]))
-    if spec.startswith("table:"):
-        path = spec.split(":", 1)[1]
-        data = np.genfromtxt(path, delimiter=",", names=True)
+    kind, _, arg = spec.partition(":")
+    if kind not in ("beta", "table"):
+        raise DomainError(f"unrecognized distribution spec: {spec!r}")
+    try:
+        if kind == "beta":
+            return SymmetricBeta(float(arg))
+        data = np.genfromtxt(arg, delimiter=",", names=True)
         return Tabulated(data["x"], data["density"])
-    raise DomainError(f"unrecognized distribution spec: {spec!r}")
+    # Unreadable file, bad number, missing column (IndexError: an empty file).
+    except (OSError, ValueError, IndexError) as exc:
+        raise DomainError(f"bad distribution spec {spec!r}: {exc}") from exc

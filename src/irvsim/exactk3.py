@@ -21,6 +21,7 @@ __all__ = [
     "PiecewisePolynomial",
     "plurality_density_k3",
     "irv_density_k3",
+    "density_k3",
     "irv_tail_density",
     "order_statistic_win_prob",
 ]
@@ -149,6 +150,11 @@ def irv_density_k3() -> PiecewisePolynomial:
             (F(12), F(-24), F(12)),
         ),
     )
+
+
+def density_k3(rule: Rule) -> PiecewisePolynomial:
+    """Winner-position density for `rule`, k = 3, uniform voters and candidates."""
+    return plurality_density_k3() if rule is Rule.PLURALITY else irv_density_k3()
 
 
 def irv_tail_density(k: int, x: float) -> float:

@@ -2,9 +2,9 @@
 
 Each driver takes an ExperimentConfig, runs a deterministic chunked
 simulation, writes CSV (floats at 17 significant digits, lossless round-trip)
-and a sibling JSON manifest, and returns a summary. Chunk RNGs are derived
-from (master_seed, experiment id, chunk index) with a fixed chunk size, so
-outputs are bitwise identical regardless of worker count.
+with a sibling JSON manifest per file, and returns a summary. Chunk RNGs are
+derived from (master_seed, experiment id, chunk index) with a fixed chunk
+size, so outputs are bitwise identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import asymptotics, exactk3, tabulate, zones
 from .dist import SymmetricBeta, Uniform, VoterDistribution, parse_dist_spec
 from .errors import DomainError, UnsupportedRegimeError, require
-from .tabulate import Rule, TieRule
+from .tabulate import Rule
 from .zones import ZoneKind
 
 __all__ = [
@@ -59,9 +59,7 @@ class ExperimentConfig:
     alphas: tuple = ()
     trials: int = 1000
     master_seed: int = 0
-    tie_rule: TieRule = TieRule.ELIMINATE_LEFTMOST
     out_dir: Path | None = None
-    fmt: str = "csv"
     threads: int = 1
 
     def __post_init__(self):
@@ -69,8 +67,6 @@ class ExperimentConfig:
             raise DomainError("trials must be >= 1")
         if any(k < 1 for k in self.ks):
             raise DomainError("k must be >= 1")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError("format must be csv or json")
         parse_dist_spec(self.dist_spec)  # validate eagerly
 
     def distribution(self) -> VoterDistribution:
@@ -84,8 +80,6 @@ class ExperimentConfig:
             "alphas": list(self.alphas),
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "tie_rule": self.tie_rule.value,
-            "format": self.fmt,
             "threads": self.threads,
         }
 
@@ -94,7 +88,7 @@ class ExperimentConfig:
 class RunManifest:
     config: dict
     version: str = field(default_factory=_version)
-    duration_seconds: float = 0.0
+    duration_seconds: float = 0.0  # computation only, not serialization
     summaries: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -110,7 +104,7 @@ class RunManifest:
     def write(self, data_path: Path) -> Path:
         """Atomically write this manifest next to `data_path`."""
         path = data_path.with_name(data_path.stem + ".manifest.json")
-        _atomic_write_text(path, json.dumps(self.to_json(), indent=2) + "\n")
+        _atomic_write(path, [json.dumps(self.to_json(), indent=2) + "\n"])
         return path
 
     @staticmethod
@@ -125,10 +119,16 @@ class RunManifest:
         )
 
 
-def _atomic_write_text(path: Path, text: str):
+def _atomic_write(path: Path, pieces):
+    """Write `pieces` to a temp file and rename it over `path`; on failure remove it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def chunk_rng(master_seed: int, experiment_id: str, chunk_index: int):
@@ -154,18 +154,49 @@ def _map_chunks(fn, cfg: ExperimentConfig, experiment_id: str, trials: int):
     return [fn(*a) for a in args]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+# Rows per formatted block: amortizes the per-block cost, keeps .tolist() copies small.
+_CSV_BLOCK_ROWS = 1 << 16
 
 
-def write_csv(path: Path, header, rows) -> Path:
-    """Write rows atomically; floats get 17 significant digits."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
-    return Path(path)
+def write_csv(path: Path, header, columns, manifest: RunManifest) -> Path:
+    """Write equal-length columns as one CSV, atomically, then its manifest.
+
+    Float columns (dtype kind "f") get 17 significant digits, bool columns
+    0/1 and every other column str(). Returns the CSV path.
+    """
+    path = Path(path)
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    require(
+        len(header) == len(columns) and len(set(lengths)) == 1,
+        f"{path.name}: {len(header)} names for columns of lengths {lengths}",
+    )
+    columns = [c.astype(np.int8) if c.dtype.kind == "b" else c for c in columns]
+    row = ",".join("{:.17g}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
+    n = lengths[0]
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            cells = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            yield "".join(map(row.format, *cells))
+
+    _atomic_write(path, blocks())
+    manifest.write(path)
+    return path
+
+
+def _finish(cfg: ExperimentConfig, t0: float, summaries: dict, files: dict, notes=()) -> dict:
+    """Build the run's manifest; write each {name: (header, columns)} to out_dir with it.
+
+    Drivers collect `files` only when cfg.out_dir is set, so that a run
+    without output holds no columns.
+    """
+    manifest = RunManifest(cfg.echo(), duration_seconds=time.monotonic() - t0,
+                           summaries=summaries, notes=list(notes))
+    for name, (header, columns) in files.items():
+        write_csv(Path(cfg.out_dir) / name, header, columns, manifest)
+    return {"summaries": summaries, "manifest": manifest}
 
 
 def _winner_batches(cfg: ExperimentConfig, experiment_id: str, rule: Rule, k: int, d):
@@ -179,17 +210,12 @@ def _winner_batches(cfg: ExperimentConfig, experiment_id: str, rule: Rule, k: in
     return winners, ties
 
 
-def _exact_cdf_k3(rule: Rule):
-    dens = exactk3.plurality_density_k3() if rule is Rule.PLURALITY else exactk3.irv_density_k3()
-    return dens.antiderivative()
-
-
 def run_winner_histograms(cfg: ExperimentConfig) -> dict:
     """Winner positions per (rule, k); for k = 3 also the exact density overlay."""
     t0 = time.monotonic()
     d = cfg.distribution()
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     summaries = {}
+    files = {}
     uniform = isinstance(d, Uniform)
     for rule in cfg.rules:
         for k in cfg.ks:
@@ -204,35 +230,18 @@ def run_winner_histograms(cfg: ExperimentConfig) -> dict:
                 "var_about_half": float(np.mean((winners - 0.5) ** 2)),
             }
             if k == 3 and uniform:
-                cdf = _exact_cdf_k3(rule)
-                entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, cdf)
+                dens = exactk3.density_k3(rule)
+                entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, dens.antiderivative())
             summaries[f"{rule.value}_k{k}"] = entry
-            if out_dir is not None:
-                path = out_dir / f"winners_{rule.value}_k{k}.csv"
-                write_csv(
-                    path,
-                    ["trial", "winner_position", "tie"],
-                    ((i, w, int(t)) for i, (w, t) in enumerate(zip(winners, ties))),
-                )
-                if k == 3 and uniform:
-                    dens = (
-                        exactk3.plurality_density_k3()
-                        if rule is Rule.PLURALITY
-                        else exactk3.irv_density_k3()
-                    )
-                    grid = np.linspace(0.0, 1.0, 1001)
-                    write_csv(
-                        out_dir / f"exact_density_{rule.value}_k3.csv",
-                        ["x", "density"],
-                        zip(grid, dens(grid)),
-                    )
-    manifest = RunManifest(cfg.echo(), summaries=summaries)
-    manifest.duration_seconds = time.monotonic() - t0
-    if out_dir is not None:
-        for rule in cfg.rules:
-            for k in cfg.ks:
-                manifest.write(out_dir / f"winners_{rule.value}_k{k}.csv")
-    return {"summaries": summaries, "manifest": manifest}
+            if cfg.out_dir is None:
+                continue
+            files[f"winners_{rule.value}_k{k}.csv"] = (
+                ["trial", "winner_position", "tie"], [np.arange(winners.size), winners, ties]
+            )
+            if k == 3 and uniform:
+                grid = np.linspace(0.0, 1.0, 1001)
+                files[f"exact_density_{rule.value}_k3.csv"] = (["x", "density"], [grid, dens(grid)])
+    return _finish(cfg, t0, summaries, files)
 
 
 def _zone_for_alpha(alpha: float):
@@ -273,7 +282,7 @@ def run_beta_sweep(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
     k = cfg.ks[0]
     summaries = {}
-    rows = []
+    held = []  # (alpha, rule, winners, violations), kept only for the CSV
     for alpha in cfg.alphas:
         d, zone = _zone_for_alpha(alpha)
         exp_id = f"betasweep/alpha={alpha:g}/k={k}"
@@ -293,8 +302,9 @@ def run_beta_sweep(cfg: ExperimentConfig) -> dict:
 
         parts = _map_chunks(one, cfg, exp_id, cfg.trials)
         for r, rule in enumerate(cfg.rules):
-            winners = np.concatenate([p[r][0] for p in parts])
             viol = np.concatenate([p[r][1] for p in parts])
+            if cfg.out_dir is not None:
+                held.append((alpha, rule.value, np.concatenate([p[r][0] for p in parts]), viol))
             entry = {
                 "alpha": alpha,
                 "rule": rule.value,
@@ -310,21 +320,15 @@ def run_beta_sweep(cfg: ExperimentConfig) -> dict:
                 "violations": int(viol.sum()),
             }
             summaries[f"alpha={alpha:g}/{rule.value}"] = entry
-            if cfg.out_dir is not None:
-                rows.extend(
-                    (alpha, rule.value, w, int(v)) for w, v in zip(winners, viol)
-                )
-    manifest = RunManifest(cfg.echo(), summaries=summaries)
-    manifest.notes.append(
-        "figure-reproduction default is k=30; a k=20 variant appears in some "
-        "descriptions of the same sweep"
-    )
-    manifest.duration_seconds = time.monotonic() - t0
-    if cfg.out_dir is not None:
-        path = Path(cfg.out_dir) / "beta_sweep.csv"
-        write_csv(path, ["alpha", "rule", "winner_position", "violation"], rows)
-        manifest.write(path)
-    return {"summaries": summaries, "manifest": manifest}
+    files = {}
+    if held:
+        alphas, rules, winners, violations = zip(*held)
+        columns = [np.repeat(alphas, cfg.trials), np.repeat(rules, cfg.trials),
+                   np.concatenate(winners), np.concatenate(violations)]
+        files["beta_sweep.csv"] = (["alpha", "rule", "winner_position", "violation"], columns)
+    notes = ["figure-reproduction default is k=30; a k=20 variant appears in some "
+             "descriptions of the same sweep"]
+    return _finish(cfg, t0, summaries, files, notes)
 
 
 def run_scatter(cfg: ExperimentConfig) -> dict:
@@ -332,6 +336,7 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
     t0 = time.monotonic()
     d = cfg.distribution()
     summaries = {}
+    files = {}
     for k in cfg.ks:
         exp_id = f"scatter/k={k}/{cfg.dist_spec}"
 
@@ -359,21 +364,11 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
             "same_winner": int(((wp == wr) & clean).sum()),
         }
         if cfg.out_dir is not None:
-            path = Path(cfg.out_dir) / f"scatter_k{k}.csv"
-            write_csv(
-                path,
+            files[f"scatter_k{k}.csv"] = (
                 ["plurality_position", "irv_position", "irv_more_moderate", "tie"],
-                (
-                    (p, r, int(m), int(t))
-                    for p, r, m, t in zip(wp, wr, more_moderate, tie)
-                ),
+                [wp, wr, more_moderate, tie],
             )
-    manifest = RunManifest(cfg.echo(), summaries=summaries)
-    manifest.duration_seconds = time.monotonic() - t0
-    if cfg.out_dir is not None:
-        for k in cfg.ks:
-            manifest.write(Path(cfg.out_dir) / f"scatter_k{k}.csv")
-    return {"summaries": summaries, "manifest": manifest}
+    return _finish(cfg, t0, summaries, files)
 
 
 # ---------------------------------------------------------------------------
@@ -392,25 +387,22 @@ def _check(name, claim, seed, fn):
 
 def _verify_exact_identities():
     results = {}
-    for label, dens, var in (
-        ("plurality", exactk3.plurality_density_k3(), (23, 540)),
-        ("irv", exactk3.irv_density_k3(), (25, 864)),
-    ):
+    w = np.linspace(0.0, 0.5, 200)
+    for rule, var in ((Rule.PLURALITY, (23, 540)), (Rule.IRV, (25, 864))):
+        label = rule.value
+        dens = exactk3.density_k3(rule)
         require(dens.integral() == 1, f"{label} density does not integrate to 1")
         got = dens.variance_about_half()
         require((got.numerator, got.denominator) == var, f"{label} variance {got}")
         jumps = dens.breakpoint_jumps()
         require(max(abs(j) for j in jumps) <= 1e-12, f"{label} discontinuity {jumps}")
-        results[label] = {"variance": f"{var[0]}/{var[1]}"}
-    w = np.linspace(0.0, 0.5, 200)
-    for rule, dens in ((Rule.PLURALITY, exactk3.plurality_density_k3()),
-                       (Rule.IRV, exactk3.irv_density_k3())):
         total = sum(
             np.array([exactk3.order_statistic_win_prob(rule, i, x) for x in w])
             for i in (1, 2, 3)
         )
         err = float(np.max(np.abs(3.0 * total - dens(w))))
-        require(err <= 1e-12, f"order-statistic sum mismatch {err}")
+        require(err <= 1e-12, f"{label} order-statistic sum mismatch {err}")
+        results[label] = {"variance": f"{var[0]}/{var[1]}"}
     return results
 
 
@@ -558,6 +550,6 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     }
     if cfg.out_dir is not None:
         path = Path(cfg.out_dir) / "verify_report.json"
-        _atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+        _atomic_write(path, [json.dumps(report, indent=2) + "\n"])
         RunManifest(cfg.echo(), summaries={"passed": passed}).write(path)
     return report

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from irvsim import cli, experiments
-from irvsim.errors import DomainError
+from irvsim.errors import CheckFailed, DomainError
 from irvsim.experiments import (
     ExperimentConfig,
     RunManifest,
@@ -28,8 +28,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         ExperimentConfig(ks=(0,))
     with pytest.raises(DomainError):
-        ExperimentConfig(fmt="xml")
-    with pytest.raises(DomainError):
         ExperimentConfig(dist_spec="nope")
 
 
@@ -46,10 +44,69 @@ def test_chunk_rng_deterministic_and_distinct():
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     value = 0.1234567890123456789
-    write_csv(path, ["i", "x"], [(0, value), (1, 0.5)])
+    manifest = RunManifest({"case": "round-trip"})
+    assert write_csv(path, ["i", "x"], [np.arange(2), np.array([value, 0.5])], manifest) == path
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "i,x"
     assert float(lines[1].split(",")[1]) == value  # 17 sig digits round-trip
+    assert RunManifest.read(tmp_path / "out.manifest.json").config == {"case": "round-trip"}
+
+
+def _reference_csv(header, rows):
+    """The per-value row writer write_csv replaced, kept as its reference."""
+
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_reference_writer(tmp_path, monkeypatch):
+    floats = np.array([0.1, 1 / 3, -0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 2.5])
+    ints = np.array([0, -1, 7, 2**31, -(2**40), 2**62, 2**62 - 1, 12345678901, 3])
+    bools = np.array([True, False, True, True, False, False, True, False, True])
+    strings = np.array(["plurality", "irv", "irv", "a", "", "b", "c", "d", "e"])
+    header = ["f", "i", "b", "s"]
+    # The drivers passed bools as int(t): "{}" alone would print True.
+    rows = [(f, i, int(b), s) for f, i, b, s in zip(floats, ints, bools, strings)]
+    expected = _reference_csv(header, rows)
+    # A block size that splits the rows checks the seams between blocks.
+    for block in (2, 1 << 16):
+        monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", block)
+        path = write_csv(tmp_path / "ref.csv", header, [floats, ints, bools, strings],
+                         RunManifest({}))
+        assert path.read_text() == expected
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(CheckFailed):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [np.arange(3), np.arange(2)],
+                  RunManifest({}))
+    with pytest.raises(CheckFailed):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [np.arange(3)], RunManifest({}))
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Unformattable:
+    def __format__(self, spec):
+        raise RuntimeError("cannot format")
+
+
+def test_write_csv_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", 4)
+    column = np.empty(10, dtype=object)
+    column[:] = 1
+    column[-1] = _Unformattable()  # fails in the third block, after two are written
+    path = tmp_path / "out.csv"
+    path.write_text("previous\n")
+    with pytest.raises(RuntimeError):
+        write_csv(path, ["v"], [column], RunManifest({}))
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_winner_histograms_smoke(tmp_path):
@@ -198,6 +255,30 @@ def test_cli_usage_error_exit_code():
     assert cli.main(["gumbel", "--k", "notanint"]) == 1
 
 
+# Thread counts are rejected by the parser, so no case here starts a thread.
+@pytest.mark.parametrize("argv, named", [
+    (["zone", "--dist", "beta:abc"], "beta:abc"),
+    (["zone", "--dist", "table:missing.csv"], "table:missing.csv"),
+    (["zone", "--dist", "table:nocolumns.csv"], "table:nocolumns.csv"),
+    (["zone", "--dist", "table:nan.csv"], "table:nan.csv"),
+    (["simulate", "--dist", "table:missing.csv", "--trials", "10"], "table:missing.csv"),
+    (["density", "--points", "-1"], "--points"),
+    (["density", "--points", "0"], "--points"),
+    (["density", "--points", "1"], "--points"),
+    (["simulate", "--threads", "0"], "--threads"),
+    (["betasweep", "--alpha", "1", "--threads", "-3"], "--threads"),
+    (["verify", "--threads", "0"], "--threads"),
+])
+def test_cli_bad_input_exits_1_with_message(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nocolumns.csv").write_text("a,b\n0,1\n1,1\n")
+    (tmp_path / "nan.csv").write_text("x,density\n0,nan\n1,1\n")
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("irvsim") and named in err.splitlines()[0], err
+    assert "Traceback" not in err
+
+
 def test_cli_simulate(tmp_path, capsys):
     rc = cli.main(
         ["simulate", "--k", "3", "--trials", "300", "--seed", "1", "--out", str(tmp_path)]
@@ -212,6 +293,27 @@ def test_cli_density(tmp_path):
     lines = (tmp_path / "exact_density_irv_k3.csv").read_text().strip().split("\n")
     assert lines[0] == "x,density"
     assert len(lines) == 1002
+
+
+def test_cli_every_csv_has_a_manifest(tmp_path, capsys):
+    runs = [
+        ["simulate", "--k", "3", "--trials", "200"],
+        ["scatter", "--k", "3", "--trials", "200"],
+        ["betasweep", "--alpha", "2", "--k", "5", "--trials", "200"],
+        ["density", "--rule", "plurality", "--points", "11"],
+        ["gumbel", "--mode", "share", "--k", "50", "--trials", "40"],
+    ]
+    for argv in runs:
+        assert cli.main(argv + ["--seed", "3", "--out", str(tmp_path)]) == 0
+    csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert "exact_density_irv_k3.csv" in csvs and "gumbel_share_k50.csv" in csvs
+    for name in csvs:
+        assert (tmp_path / name.replace(".csv", ".manifest.json")).exists(), name
+    gumbel = RunManifest.read(tmp_path / "gumbel_share_k50.manifest.json")
+    assert gumbel.config == {"mode": "share", "k": 50, "trials": 40, "seed": 3}
+    assert gumbel.duration_seconds > 0
+    simulate = RunManifest.read(tmp_path / "winners_irv_k3.manifest.json")
+    assert "format" not in simulate.config and "tie_rule" not in simulate.config
 
 
 def test_cli_gumbel_maxgap(tmp_path, capsys):
