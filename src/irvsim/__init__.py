@@ -8,13 +8,13 @@ seeded Monte Carlo experiment drivers with a CLI.
 
 from .asymptotics import (
     GumbelExperimentResult,
-    StickBreakingSample,
     circle_coupling_experiment,
     gaps_from_exponential,
     gaps_from_uniform,
     gumbel_cdf,
     ks_statistic,
     max_gap_experiment,
+    spacings,
     winner_uniformity_experiment,
     winning_share_experiment,
 )

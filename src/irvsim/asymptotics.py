@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chunks import DRAWS_PER_CHUNK, map_chunks
 from .dist import Uniform, VoterDistribution
 from .errors import DomainError, require
-from .tabulate import Rule, irv_batch, plurality_batch, shares_batch
+from .tabulate import Rule, irv_batch, plurality_batch, sample_sorted_positions, shares_batch
 
 __all__ = [
     "gumbel_cdf",
-    "StickBreakingSample",
+    "spacings",
     "gaps_from_uniform",
     "gaps_from_exponential",
     "GumbelExperimentResult",
@@ -31,13 +32,6 @@ __all__ = [
     "winner_uniformity_experiment",
     "ks_statistic",
 ]
-
-# Gap counts n and candidate counts k are related by n = k + 1 throughout:
-# k candidates cut the interval into k + 1 half-open voter blocks.
-
-
-def n_from_k(k: int) -> int:
-    return k + 1
 
 
 def gumbel_cdf(x):
@@ -56,45 +50,26 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(np.max(f - grid[:-1]), np.max(grid[1:] - f)))
 
 
-@dataclass(frozen=True)
-class StickBreakingSample:
-    """Spacings of the unit interval with their exponential representation.
-
-    gaps are the n spacings produced by n - 1 uniform breakpoints; they are
-    equal in distribution (and here equal exactly) to X_i / T_n for unit
-    exponentials X_i with sum T_n.
-    """
-
-    gaps: np.ndarray
-    exponentials: np.ndarray
-    total: float
-
-    def __post_init__(self):
-        if abs(float(self.gaps.sum()) - 1.0) > 1e-12:
-            raise DomainError("gaps must sum to 1")
+def spacings(n: int, trials: int, rng) -> np.ndarray:
+    """(trials, n) spacings of [0, 1], drawn without a sort: exponentials X_i / sum(X)."""
+    x = rng.standard_exponential((trials, n))
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
-def gaps_from_uniform(n: int, rng) -> StickBreakingSample:
-    """Spacings from n - 1 sorted uniform breakpoints.
-
-    The exponential representation is recovered by scaling the gaps with an
-    independent Gamma(n) total, so both constructions round-trip.
-    """
+def gaps_from_uniform(n: int, rng) -> np.ndarray:
+    """The n spacings of [0, 1] cut at n - 1 sorted uniform breakpoints."""
     if n < 1:
         raise DomainError("n must be >= 1")
     cuts = np.sort(rng.random(n - 1))
-    gaps = np.diff(np.concatenate(([0.0], cuts, [1.0])))
-    total = float(rng.gamma(n))
-    return StickBreakingSample(gaps=gaps, exponentials=gaps * total, total=total)
+    return np.diff(np.concatenate(([0.0], cuts, [1.0])))
 
 
-def gaps_from_exponential(n: int, rng) -> StickBreakingSample:
-    """Spacings as normalized unit exponentials X_i / T_n."""
+def gaps_from_exponential(n: int, rng) -> np.ndarray:
+    """The n spacings as normalized unit exponentials X_i / T_n."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    x = rng.exponential(size=n)
-    total = float(x.sum())
-    return StickBreakingSample(gaps=x / total, exponentials=x, total=total)
+    return spacings(n, 1, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -114,43 +89,50 @@ class GumbelExperimentResult:
         }
 
 
-# Chunk size (in random draws) for the big-k experiments; keeps peak memory
-# around a few hundred MB while staying vectorized.
-_CHUNK_DRAWS = 8_000_000
+def _map_trials(kernel, seed, experiment_id, trials, threads, draws_per_trial):
+    """map_chunks with chunks sized in draws: each holds about DRAWS_PER_CHUNK values."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    return map_chunks(kernel, seed, experiment_id, trials, threads,
+                      trials_per_chunk=max(1, DRAWS_PER_CHUNK // draws_per_trial))
 
 
-def _trial_chunks(trials: int, per_trial: int):
-    step = max(1, _CHUNK_DRAWS // max(per_trial, 1))
-    done = 0
-    while done < trials:
-        yield min(step, trials - done)
-        done += step
+def _gap_shares(gaps: np.ndarray) -> np.ndarray:
+    """Uniform-voter plurality shares of the k = n - 1 candidates between n gaps.
+
+    Candidate i takes half of each adjacent gap; each end candidate also takes
+    the other half of its outer gap, which no other candidate borders.
+    """
+    shares = gaps[:, :-1] + gaps[:, 1:]
+    shares[:, 0] += gaps[:, 0]
+    shares[:, -1] += gaps[:, -1]
+    shares *= 0.5
+    return shares
 
 
-def winning_share_experiment(k: int, trials: int, rng) -> GumbelExperimentResult:
+def winning_share_experiment(k: int, trials: int, seed: int,
+                             threads: int = 1) -> GumbelExperimentResult:
     """Normalized winning plurality vote share 2nV - log n - log log n, n = k + 1.
 
-    Per trial: k sorted uniform candidates, uniform voters, V = max vote
-    share. The statistic converges to the standard Gumbel law as k grows.
+    Per trial: k uniform candidates, uniform voters, V = max vote share. The
+    statistic converges to the standard Gumbel law as k grows.
     """
     if k < 3:
         raise DomainError("k must be >= 3 so that log log n is defined")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    n = n_from_k(k)
+    n = k + 1
     center = math.log(n) + math.log(math.log(n))
-    stats = np.empty(trials)
-    out = 0
-    for chunk in _trial_chunks(trials, k):
-        pos = np.sort(rng.random((chunk, k)), axis=1)
-        v = shares_batch(pos, Uniform()).max(axis=1)
+
+    def chunk(_index, chunk_trials, rng):
+        v = _gap_shares(spacings(n, chunk_trials, rng)).max(axis=1)
         require(np.all(v >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
-        stats[out : out + chunk] = 2.0 * n * v - center
-        out += chunk
+        return 2.0 * n * v - center
+
+    stats = np.concatenate(_map_trials(chunk, seed, f"gumbel-share/k={k}", trials, threads, n))
     return GumbelExperimentResult(k, trials, stats, ks_statistic(stats, gumbel_cdf))
 
 
-def max_gap_experiment(n: int, trials: int, rng) -> GumbelExperimentResult:
+def max_gap_experiment(n: int, trials: int, seed: int,
+                       threads: int = 1) -> GumbelExperimentResult:
     """Classic maximal-spacing statistic n*max(gaps) - log n, Gumbel in the limit.
 
     Converges faster than the winning-share statistic and serves as its
@@ -158,34 +140,18 @@ def max_gap_experiment(n: int, trials: int, rng) -> GumbelExperimentResult:
     """
     if n < 2:
         raise DomainError("n must be >= 2")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     logn = math.log(n)
-    stats = np.empty(trials)
-    out = 0
-    for chunk in _trial_chunks(trials, n):
-        cuts = np.sort(rng.random((chunk, n - 1)), axis=1)
-        edges = np.empty((chunk, n + 1))
-        edges[:, 0] = 0.0
-        edges[:, 1:-1] = cuts
-        edges[:, -1] = 1.0
-        gaps = np.diff(edges, axis=1)
+
+    def chunk(_index, chunk_trials, rng):
+        gaps = spacings(n, chunk_trials, rng)
         require(np.all(np.abs(gaps.sum(axis=1) - 1.0) < 1e-12), "gaps do not sum to 1")
-        stats[out : out + chunk] = n * gaps.max(axis=1) - logn
-        out += chunk
+        return n * gaps.max(axis=1) - logn
+
+    stats = np.concatenate(_map_trials(chunk, seed, f"max-gap/n={n}", trials, threads, n))
     return GumbelExperimentResult(n, trials, stats, ks_statistic(stats, gumbel_cdf))
 
 
-def _circle_shares(sorted_pos: np.ndarray) -> np.ndarray:
-    """Plurality shares on a unit-circumference circle: half of each adjacent arc."""
-    wrap = 1.0 - sorted_pos[:, -1] + sorted_pos[:, 0]
-    arcs = np.concatenate(
-        (wrap[:, None], np.diff(sorted_pos, axis=1), wrap[:, None]), axis=1
-    )
-    return 0.5 * (arcs[:, :-1] + arcs[:, 1:])
-
-
-def circle_coupling_experiment(k: int, trials: int, rng) -> float:
+def circle_coupling_experiment(k: int, trials: int, seed: int, threads: int = 1) -> float:
     """Fraction of trials where the circle and cut-interval winners differ.
 
     Cutting the circle at 0 reassigns only the wrap-around arc, so the two
@@ -194,21 +160,23 @@ def circle_coupling_experiment(k: int, trials: int, rng) -> float:
     """
     if k < 3:
         raise DomainError("k must be >= 3")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    disagree = 0
-    for chunk in _trial_chunks(trials, k):
-        pos = np.sort(rng.random((chunk, k)), axis=1)
-        circle = _circle_shares(pos)
-        interval = shares_batch(pos, Uniform())
+
+    def chunk(_index, chunk_trials, rng):
+        gaps = spacings(k + 1, chunk_trials, rng)
+        # On the circle the two outer gaps form one wrap arc g_0 + g_k, half
+        # of which goes to each end candidate.
+        circle = gaps[:, :-1] + gaps[:, 1:]
+        circle[:, 0] += gaps[:, -1]
+        circle[:, -1] += gaps[:, 0]
+        circle *= 0.5
+        interval = shares_batch(np.cumsum(gaps[:, :-1], axis=1), Uniform())
         require(np.all(np.abs(circle.sum(axis=1) - 1.0) < 1e-12),
                 "circle shares do not sum to 1")
         require(np.all(np.abs(circle[:, 1:-1] - interval[:, 1:-1]) < 1e-12),
                 "circle and interval shares differ away from the cut")
-        disagree += int(
-            np.count_nonzero(circle.argmax(axis=1) != interval.argmax(axis=1))
-        )
-    return disagree / trials
+        return int(np.count_nonzero(circle.argmax(axis=1) != interval.argmax(axis=1)))
+
+    return sum(_map_trials(chunk, seed, f"circle/k={k}", trials, threads, k + 1)) / trials
 
 
 @dataclass(frozen=True)
@@ -221,7 +189,7 @@ class UniformityResult:
 
 
 def winner_uniformity_experiment(
-    rule: Rule, k: int, trials: int, d: VoterDistribution, rng
+    rule: Rule, k: int, trials: int, d: VoterDistribution, seed: int, threads: int = 1
 ) -> UniformityResult:
     """Winner positions over repeated random profiles, with KS vs Uniform(0,1).
 
@@ -230,13 +198,10 @@ def winner_uniformity_experiment(
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
     uniform_voters = isinstance(d, Uniform)
-    winners = np.empty(trials)
-    out = 0
-    for chunk in _trial_chunks(trials, max(k, 1)):
-        pos = np.sort(d.sample(rng, (chunk, k)), axis=1)
+
+    def chunk(_index, chunk_trials, rng):
+        pos = sample_sorted_positions(d, k, chunk_trials, rng)
         if rule is Rule.PLURALITY:
             w, _, _ = plurality_batch(pos, d)
         else:
@@ -245,7 +210,9 @@ def winner_uniformity_experiment(
                 has_moderate = np.any((pos >= 1 / 6) & (pos <= 5 / 6), axis=1)
                 require(np.all((w[has_moderate] >= 1 / 6) & (w[has_moderate] <= 5 / 6)),
                         "an IRV winner escaped [1/6, 5/6]")
-        winners[out : out + chunk] = w
-        out += chunk
+        return w
+
+    winners = np.concatenate(
+        _map_trials(chunk, seed, f"winner-uniformity/{rule.value}/k={k}", trials, threads, k))
     ks = ks_statistic(winners, lambda x: x) if uniform_voters else None
     return UniformityResult(rule, k, trials, winners, ks)

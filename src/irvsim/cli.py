@@ -47,10 +47,17 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
-    p.add_argument("--out", type=Path, default=None, help="output directory")
+_COMMON = {
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--threads": dict(type=_int_at_least(1), default=1, help="results do not depend on it"),
+    "--out": dict(type=Path, default=None, help="output directory"),
+}
+
+
+def _add_common(p, *flags):
+    """Register the common `flags` that subcommand `p` reads, and no others."""
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,44 +65,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("simulate", help="winner-position histograms per rule and k")
-    _add_common(p)
+    _add_common(p, "--seed", "--threads", "--out")
     p.add_argument("--rule", choices=("plurality", "irv", "both"), default="both")
     p.add_argument("--k", type=int, nargs="+", default=[3])
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--dist", default="uniform")
 
     p = sub.add_parser("density", help="exact k=3 winner densities on a grid")
-    _add_common(p)
+    _add_common(p, "--out")
     p.add_argument("--rule", choices=("plurality", "irv"), default="irv")
     p.add_argument("--points", type=_int_at_least(2), default=1001)
 
     p = sub.add_parser("zone", help="exclusion zone for a voter distribution")
-    _add_common(p)
     p.add_argument("--dist", default="uniform")
     p.add_argument(
         "--numeric", action="store_true", help="numeric search instead of closed form"
     )
 
     p = sub.add_parser("gumbel", help="asymptotic-law experiments")
-    _add_common(p)
+    _add_common(p, "--seed", "--threads", "--out")
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--mode", choices=("share", "maxgap", "circle"), default="share")
 
     p = sub.add_parser("scatter", help="plurality vs IRV winners on shared draws")
-    _add_common(p)
+    _add_common(p, "--seed", "--threads", "--out")
     p.add_argument("--k", type=int, nargs="+", default=[3])
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--dist", default="uniform")
 
     p = sub.add_parser("betasweep", help="Beta(alpha, alpha) sweep with zone bounds")
-    _add_common(p)
+    _add_common(p, "--seed", "--threads", "--out")
     p.add_argument("--alpha", type=float, nargs="+", required=True)
     p.add_argument("--k", type=int, default=30)
     p.add_argument("--trials", type=int, default=100_000)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    _add_common(p)
+    _add_common(p, "--seed", "--out")
 
     return parser
 
@@ -144,15 +150,15 @@ def _cmd_zone(args) -> int:
 
 def _cmd_gumbel(args) -> int:
     t0 = time.monotonic()
-    rng = experiments.chunk_rng(args.seed, f"cli/gumbel/{args.mode}", 0)
+    run = (args.k, args.trials, args.seed, args.threads)
     if args.mode == "circle":
-        rate = asymptotics.circle_coupling_experiment(args.k, args.trials, rng)
+        rate = asymptotics.circle_coupling_experiment(*run)
         _emit({"k": args.k, "trials": args.trials, "disagreement_rate": rate})
         return EXIT_OK
     if args.mode == "share":
-        res = asymptotics.winning_share_experiment(args.k, args.trials, rng)
+        res = asymptotics.winning_share_experiment(*run)
     else:
-        res = asymptotics.max_gap_experiment(args.k, args.trials, rng)
+        res = asymptotics.max_gap_experiment(*run)
     if args.out is not None:
         path = Path(args.out) / f"gumbel_{args.mode}_k{args.k}.csv"
         config = {"mode": args.mode, "k": args.k, "trials": args.trials, "seed": args.seed}
@@ -176,7 +182,7 @@ def _cmd_betasweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = experiments.run_verify(_config(args))
+    report = experiments.run_verify(ExperimentConfig(master_seed=args.seed, out_dir=args.out))
     _emit(report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 
@@ -196,10 +202,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        out = getattr(args, "out", None)
+        if args.command == "gumbel" and args.mode == "circle" and out is not None:
+            parser.error("argument --out: gumbel --mode circle writes no file")
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.command](args)
     except IrvsimError as exc:

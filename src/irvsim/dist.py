@@ -295,8 +295,12 @@ def parse_dist_spec(spec: str) -> VoterDistribution:
     try:
         if kind == "beta":
             return SymmetricBeta(float(arg))
-        data = np.genfromtxt(arg, delimiter=",", names=True)
+        with open(arg) as fh:
+            lines = [line for line in fh if line.strip()]
+        if len(lines) < 2:  # genfromtxt would warn, then fail with an IndexError
+            raise DomainError("the table has no rows")
+        data = np.genfromtxt(lines, delimiter=",", names=True)
         return Tabulated(data["x"], data["density"])
-    # Unreadable file, bad number, missing column (IndexError: an empty file).
-    except (OSError, ValueError, IndexError) as exc:
+    # Unreadable file, no rows, bad number, missing column.
+    except (OSError, ValueError) as exc:
         raise DomainError(f"bad distribution spec {spec!r}: {exc}") from exc

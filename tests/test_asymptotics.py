@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from irvsim import asymptotics
 from irvsim.asymptotics import (
+    _gap_shares,
     circle_coupling_experiment,
     gaps_from_exponential,
     gaps_from_uniform,
@@ -15,7 +17,7 @@ from irvsim.asymptotics import (
 )
 from irvsim.dist import Uniform
 from irvsim.errors import DomainError
-from irvsim.tabulate import Rule
+from irvsim.tabulate import Rule, shares_batch
 
 
 def test_gumbel_cdf_values():
@@ -35,18 +37,17 @@ def test_stick_breaking_invariants():
     rng = np.random.default_rng(0)
     for n in (1, 2, 10, 1000):
         for sample in (gaps_from_uniform(n, rng), gaps_from_exponential(n, rng)):
-            assert sample.gaps.size == n
-            assert abs(sample.gaps.sum() - 1.0) < 1e-12
-            assert np.all(sample.gaps >= 0)
-            assert np.allclose(sample.exponentials, sample.gaps * sample.total)
+            assert sample.size == n
+            assert abs(sample.sum() - 1.0) < 1e-12
+            assert np.all(sample >= 0)
 
 
 def test_stick_breaking_constructions_agree_in_distribution():
     # max-gap samples from the two constructions should be KS-close
     rng = np.random.default_rng(1)
     n, trials = 1000, 100_000
-    a = np.array([gaps_from_uniform(n, rng).gaps.max() for _ in range(200)])
-    b = np.array([gaps_from_exponential(n, rng).gaps.max() for _ in range(200)])
+    a = np.array([gaps_from_uniform(n, rng).max() for _ in range(200)])
+    b = np.array([gaps_from_exponential(n, rng).max() for _ in range(200)])
     # crude two-sample KS on modest trial counts
     pooled = np.sort(np.concatenate([a, b]))
     fa = np.searchsorted(np.sort(a), pooled, side="right") / a.size
@@ -55,58 +56,82 @@ def test_stick_breaking_constructions_agree_in_distribution():
 
 
 def test_winning_share_experiment_smoke():
-    rng = np.random.default_rng(2)
-    res = winning_share_experiment(3, 10_000, rng)
+    res = winning_share_experiment(3, 10_000, 2)
     assert res.trials == 10_000
     assert np.all(np.isfinite(res.statistics))
     assert 0.0 <= res.ks_statistic <= 1.0
 
 
 def test_winning_share_parameter_validation():
-    rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
-        winning_share_experiment(2, 10, rng)
+        winning_share_experiment(2, 10, 0)
     with pytest.raises(DomainError):
-        winning_share_experiment(10, 0, rng)
+        winning_share_experiment(10, 0, 0)
 
 
 def test_max_gap_two_breakpoints():
-    rng = np.random.default_rng(3)
-    res = max_gap_experiment(2, 1, rng)
+    res = max_gap_experiment(2, 1, 3)
     # with one breakpoint U the statistic is 2 max(U, 1-U) - log 2
     max_gap = (res.statistics[0] + math.log(2)) / 2
     assert 0.5 <= max_gap <= 1.0
 
 
 def test_max_gap_gumbel_at_desk_scale():
-    rng = np.random.default_rng(4)
-    res = max_gap_experiment(1000, 4000, rng)
+    res = max_gap_experiment(1000, 4000, 4)
     assert res.ks_statistic <= 0.05
 
 
 def test_circle_coupling_rate_decreases():
-    rng = np.random.default_rng(5)
-    r3 = circle_coupling_experiment(3, 10_000, rng)
+    r3 = circle_coupling_experiment(3, 10_000, 5)
     assert 0.0 <= r3 <= 1.0
-    r10 = circle_coupling_experiment(10, 4000, rng)
-    r1000 = circle_coupling_experiment(1000, 2000, rng)
+    r10 = circle_coupling_experiment(10, 4000, 5)
+    r1000 = circle_coupling_experiment(1000, 2000, 5)
     assert r1000 < r10
 
 
 def test_winner_uniformity_plurality():
-    rng = np.random.default_rng(6)
-    res = winner_uniformity_experiment(Rule.PLURALITY, 1000, 2000, Uniform(), rng)
+    res = winner_uniformity_experiment(Rule.PLURALITY, 1000, 2000, Uniform(), 6)
     assert res.ks_vs_uniform <= 0.06
 
 
 def test_winner_uniformity_k1_exactly_uniform():
-    rng = np.random.default_rng(7)
-    res = winner_uniformity_experiment(Rule.PLURALITY, 1, 5000, Uniform(), rng)
+    res = winner_uniformity_experiment(Rule.PLURALITY, 1, 5000, Uniform(), 7)
     assert res.ks_vs_uniform <= 0.03  # winner = the single uniform draw
 
 
 def test_irv_winners_stay_inside_zone():
-    rng = np.random.default_rng(8)
-    res = winner_uniformity_experiment(Rule.IRV, 100, 2000, Uniform(), rng)
+    res = winner_uniformity_experiment(Rule.IRV, 100, 2000, Uniform(), 8)
     outside = np.sum((res.winner_positions < 1 / 6) | (res.winner_positions > 5 / 6))
     assert outside == 0
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 100_000])
+def test_gap_shares_match_shares_of_cumsum_positions(k):
+    gaps = np.random.default_rng(k).standard_exponential((5, k + 1))
+    gaps /= gaps.sum(axis=1, keepdims=True)
+    positions = np.cumsum(gaps[:, :-1], axis=1)
+    assert np.max(np.abs(_gap_shares(gaps) - shares_batch(positions, Uniform()))) <= 1e-12
+
+
+@pytest.mark.parametrize("run", [
+    lambda threads: winning_share_experiment(100_000, 100, 9, threads).statistics,
+    lambda threads: max_gap_experiment(100_000, 100, 9, threads).statistics,
+    lambda threads: circle_coupling_experiment(100_000, 100, 9, threads),
+    lambda threads: winner_uniformity_experiment(
+        Rule.PLURALITY, 1000, 3000, Uniform(), 9, threads).winner_positions,
+], ids=["share", "maxgap", "circle", "uniformity"])
+def test_experiments_do_not_depend_on_threads(run, monkeypatch):
+    single = run(1)
+    np.testing.assert_array_equal(single, run(2))
+    # Threads may finish chunks in any order: running them last to first
+    # must give the same result, because each chunk draws from its own RNG.
+    chunks = []
+    map_chunks = asymptotics.map_chunks
+
+    def last_to_first(fn, *args, **kwargs):
+        chunks.extend(map_chunks(lambda *chunk: chunk, *args, **kwargs))  # (index, trials, rng)
+        return [fn(*chunk) for chunk in reversed(chunks)][::-1]
+
+    monkeypatch.setattr(asymptotics, "map_chunks", last_to_first)
+    np.testing.assert_array_equal(single, run(1))
+    assert len(chunks) > 1

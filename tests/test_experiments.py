@@ -268,15 +268,26 @@ def test_cli_usage_error_exit_code():
     (["simulate", "--threads", "0"], "--threads"),
     (["betasweep", "--alpha", "1", "--threads", "-3"], "--threads"),
     (["verify", "--threads", "0"], "--threads"),
+    # A subcommand accepts only the common flags it reads.
+    (["zone", "--seed", "1"], "--seed"),
+    (["zone", "--out", "D"], "--out"),
+    (["density", "--threads", "2"], "--threads"),
+    (["verify", "--threads", "2"], "--threads"),
+    (["gumbel", "--mode", "circle", "--k", "50", "--trials", "10", "--out", "D"], "--out"),
+    (["zone", "--dist", "table:empty.csv"], "no rows"),
 ])
-def test_cli_bad_input_exits_1_with_message(argv, named, tmp_path, monkeypatch, capsys):
+def test_cli_bad_input_exits_1_with_message(argv, named, tmp_path, monkeypatch, capsys,
+                                            recwarn):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nocolumns.csv").write_text("a,b\n0,1\n1,1\n")
     (tmp_path / "nan.csv").write_text("x,density\n0,nan\n1,1\n")
+    (tmp_path / "empty.csv").write_text("")
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("irvsim") and named in err.splitlines()[0], err
     assert "Traceback" not in err
+    assert not (tmp_path / "D").exists()
+    assert not [str(w.message) for w in recwarn]
 
 
 def test_cli_simulate(tmp_path, capsys):
@@ -297,14 +308,14 @@ def test_cli_density(tmp_path):
 
 def test_cli_every_csv_has_a_manifest(tmp_path, capsys):
     runs = [
-        ["simulate", "--k", "3", "--trials", "200"],
-        ["scatter", "--k", "3", "--trials", "200"],
-        ["betasweep", "--alpha", "2", "--k", "5", "--trials", "200"],
+        ["simulate", "--k", "3", "--trials", "200", "--seed", "3"],
+        ["scatter", "--k", "3", "--trials", "200", "--seed", "3"],
+        ["betasweep", "--alpha", "2", "--k", "5", "--trials", "200", "--seed", "3"],
         ["density", "--rule", "plurality", "--points", "11"],
-        ["gumbel", "--mode", "share", "--k", "50", "--trials", "40"],
+        ["gumbel", "--mode", "share", "--k", "50", "--trials", "40", "--seed", "3"],
     ]
     for argv in runs:
-        assert cli.main(argv + ["--seed", "3", "--out", str(tmp_path)]) == 0
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
     assert "exact_density_irv_k3.csv" in csvs and "gumbel_share_k50.csv" in csvs
     for name in csvs:

@@ -23,6 +23,9 @@ CASES = {
                      "--seed", "10"],
     "gumbel-maxgap": ["gumbel", "--mode", "maxgap", "--k", "200", "--trials", "300",
                       "--seed", "11"],
+    # Several chunks, so the threads-1/2 comparison covers their interleaving.
+    "gumbel-share-chunks": ["gumbel", "--mode", "share", "--k", "100000", "--trials", "100",
+                            "--seed", "13"],
     "betasweep": ["betasweep", "--alpha", "0.5", "2", "--k", "8", "--trials", "5000",
                   "--seed", "12"],
 }
@@ -33,8 +36,11 @@ GOLDEN = {
     "scatter": "acb60e4be3d4d5d1d15af7e2a4e81445eb74b73155c392236c6502d4f639954c",
     "density-irv": "c9201d92257deb4d67c8d3f23a7bb1c554dc1883fc85f2e4c64e5bfa78f7c5e7",
     "density-plurality": "645864707eeb3f6ec2b11ff9dd8bea92f2a2860d8d29dad83ad809a787d38969",
-    "gumbel-share": "3017c212a4f387a4e4ba4e37e9c108d7d3b05edf3fd6149fbcdf38d7c3a89942",
-    "gumbel-maxgap": "60ca544e0d84f5d543812a269c648d35198cee047cf601b9fc5b7ddf105dad0a",
+    # Spacings drawn as normalized exponentials on the chunk engine (a declared
+    # stream change).
+    "gumbel-share": "b55a926e0ab80d017706897edf01cdc7dadcdaa6fd2a6317d306caab6d5536d7",
+    "gumbel-maxgap": "d51f80a7e9d8b7f3577d4ea76a7787d89de99d3c50de2be7fa86ea19c44cc5d8",
+    "gumbel-share-chunks": "bba07d9fdc6d28d36ae2944d44ad51d26ddcfe071695a9a1498305e78d3237c0",
     # Both rules tabulate one shared draw per alpha (a declared stream change).
     "betasweep": "b19368f3d3a7fad29b1d8300b6bab8cd010218f0c5ece1d38018540647827902",
 }
@@ -50,10 +56,15 @@ def _write_density(path, points=201):
 
 
 def csv_digest(case, threads, work):
-    """Run one case in `work` and hash the CSVs it writes, in name order."""
+    """Run one case in `work` and hash the CSVs it writes, in name order.
+
+    `threads` is None for a command that takes no --threads.
+    """
     out = work / "out"
     _write_density(work / "density.csv")
-    argv = CASES[case] + ["--threads", str(threads), "--out", str(out)]
+    argv = CASES[case] + ["--out", str(out)]
+    if threads is not None:
+        argv += ["--threads", str(threads)]
     assert cli.main(argv) == 0
     h = hashlib.sha256()
     for path in sorted(out.glob("*.csv")):
@@ -61,8 +72,11 @@ def csv_digest(case, threads, work):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case, threads", [
+    pytest.param(case, threads, id=case if threads is None else f"{case}-{threads}")
+    for case in sorted(CASES)
+    for threads in ((None,) if CASES[case][0] == "density" else (1, 2))
+])
 def test_golden_csv(case, threads, tmp_path, monkeypatch, capsys):
     # The table spec is relative, so the RNG tag does not depend on tmp_path.
     monkeypatch.chdir(tmp_path)
