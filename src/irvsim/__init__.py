@@ -6,6 +6,9 @@ three-candidate winner densities, stick-breaking/Gumbel asymptotics, and
 seeded Monte Carlo experiment drivers with a CLI.
 """
 
+# Set before the submodule imports: experiments records it in every manifest.
+__version__ = "1.0.0"
+
 from .asymptotics import (
     GumbelExperimentResult,
     circle_coupling_experiment,
@@ -75,5 +78,3 @@ from .zones import (
     tightness_profile,
     zone_closed_form,
 )
-
-__version__ = "1.0.0"

@@ -172,8 +172,9 @@ class Tabulated(VoterDistribution):
 
     The grid must be strictly increasing and span [0, 1]; the density must be
     symmetric about 1/2 (asymmetric input is rejected). Interior zeros are
-    allowed but flagged with a warning, since they can make quantiles and zone
-    boundaries ill-conditioned.
+    allowed but flagged with a warning, since they can make zone boundaries
+    ill-conditioned; quantiles stay exact, because the CDF is inverted in
+    closed form piece by piece.
     """
 
     def __init__(self, grid, densities):
@@ -203,8 +204,8 @@ class Tabulated(VoterDistribution):
         interior = densities[(grid > 0) & (grid < 1)]
         if interior.size and np.any(interior == 0.0):
             warnings.warn(
-                "tabulated density has interior zeros; quantiles and zone "
-                "boundaries may be ill-conditioned",
+                "tabulated density has interior zeros; zone boundaries may be "
+                "ill-conditioned",
                 stacklevel=2,
             )
 
@@ -244,25 +245,23 @@ class Tabulated(VoterDistribution):
         return c if np.ndim(x) else float(c[0])
 
     def quantile(self, p):
+        """Exact inverse of the piecewise-quadratic CDF.
+
+        On the piece [x_i, x_{i+1}] holding p, F(x_i + t) = cum_i + f_i t +
+        s t²/2 with slope s, so t = 2r / (f_i + sqrt(f_i² + 2sr)) for
+        r = p - cum_i: the root written without cancellation, finite at
+        s = 0 and 0 where the density and the remaining mass both vanish.
+        """
         p = _check_unit_interval(p, "p")
-        pa = np.atleast_1d(np.asarray(p, dtype=float))
-        lo = np.zeros_like(pa)
-        hi = np.ones_like(pa)
-        # Bracketed bisection first: robust even where the density vanishes.
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            ge = self.cdf(mid) >= pa
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        q = hi
-        # Newton polish where the density is bounded away from zero.
-        for _ in range(3):
-            f = self.density(q)
-            step = np.where(f > 1e-12, (self.cdf(q) - pa) / np.maximum(f, 1e-12), 0.0)
-            cand = q - step
-            ok = (cand >= lo) & (cand <= np.maximum(hi, lo))
-            q = np.where(ok, cand, q)
-        q = np.clip(q, 0.0, 1.0)
+        pa = np.atleast_1d(p)
+        x, f = self._grid, self._dens
+        i = np.clip(np.searchsorted(self._cum, pa, side="right") - 1, 0, x.size - 2)
+        r = pa - self._cum[i]
+        s = (f[i + 1] - f[i]) / (x[i + 1] - x[i])
+        # f_i² + 2sr is f(q)² >= 0 in exact arithmetic; rounding may dip below.
+        den = f[i] + np.sqrt(np.maximum(f[i] ** 2 + 2.0 * s * r, 0.0))
+        t = np.divide(2.0 * r, den, out=np.zeros_like(r), where=den > 0)
+        q = np.minimum(x[i] + t, x[i + 1])
         return q if np.ndim(p) else float(q[0])
 
     def classify_shape(self) -> ShapeClass:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, exactk3, tabulate, zones
+from . import __version__, asymptotics, exactk3, tabulate, zones
 # perfbench/tracer.py wraps `experiments._map_chunks` and rebinds the wrapper
 # wherever an irvsim module holds the same function object, so this binding
 # also gets the asymptotics chunks traced.
@@ -38,15 +38,6 @@ __all__ = [
     "run_scatter",
     "run_verify",
 ]
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("irvsim")
-    except Exception:
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,7 @@ class ExperimentConfig:
 @dataclass
 class RunManifest:
     config: dict
-    version: str = field(default_factory=_version)
+    version: str = __version__
     duration_seconds: float = 0.0  # computation only, not serialization
     summaries: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
@@ -524,5 +515,6 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     if cfg.out_dir is not None:
         path = Path(cfg.out_dir) / "verify_report.json"
         _atomic_write(path, [json.dumps(report, indent=2) + "\n"])
-        RunManifest(cfg.echo(), summaries={"passed": passed}).write(path)
+        RunManifest({"seed": seed}, duration_seconds=report["duration_seconds"],
+                    summaries={"passed": passed}).write(path)
     return report

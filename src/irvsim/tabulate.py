@@ -138,15 +138,6 @@ def vote_shares(p: Profile, d: VoterDistribution) -> np.ndarray:
     return _shares_sorted(p.sorted_positions, d)
 
 
-def _resolve_tie(tied_sorted_idx, tie_rule, round_index, originals):
-    """Pick the sorted index to eliminate among exact-minimum ties."""
-    if len(tied_sorted_idx) > 1 and tie_rule is TieRule.ERROR:
-        raise TieError(round_index, [originals[j] for j in tied_sorted_idx])
-    if tie_rule is TieRule.ELIMINATE_RIGHTMOST:
-        return tied_sorted_idx[-1]
-    return tied_sorted_idx[0]
-
-
 def plurality_winner(p: Profile, d: VoterDistribution, tie_rule=TieRule.ELIMINATE_LEFTMOST):
     """Single-round winner: argmax of vote shares, ties resolved by `tie_rule`."""
     shares = vote_shares(p, d)
@@ -203,29 +194,26 @@ def irv_winner(p: Profile, d: VoterDistribution, tie_rule=TieRule.ELIMINATE_LEFT
 
 
 def sample_ballots(p: Profile, d: VoterDistribution, n_voters: int, rng) -> Counter:
-    """Sample voters from `d` and return a multiset of proximity rankings.
+    """Sample `n_voters` i.i.d. voters from `d` as a multiset of proximity rankings.
 
     Each ballot is a tuple of original candidate indices sorted by increasing
-    distance from the voter; equidistant pairs break toward the left candidate.
-    Returned as a Counter keyed by ranking tuple. The ranking is constant
-    between consecutive pairwise bisectors, so voters are bucketed by region
-    rather than ranked individually.
+    distance from the voter, returned as a Counter keyed by ranking tuple.
+    The ranking is constant between consecutive pairwise bisectors, so only
+    the number of voters in each such region matters. Those counts follow the
+    multinomial law with the regions' F-masses, and are drawn from it directly;
+    no voter position is drawn, and a bisector (F-mass zero) holds no voter.
     """
     if n_voters < 1:
         raise InvalidProfileError("n_voters must be >= 1")
     srt = p.sorted_positions
     originals = p.sort_order
     k = srt.size
-    voters = np.atleast_1d(d.sample(rng, n_voters))
     if k == 1:
         return Counter({(int(originals[0]),): n_voters})
     # Bisectors of all candidate pairs partition [0, 1] into constant-ranking regions.
     bounds = np.unique((srt[:, None] + srt[None, :])[np.triu_indices(k, 1)] / 2.0)
-    # A voter exactly on a bisector prefers the left candidate, i.e. belongs
-    # with the region on the left.
-    region = np.searchsorted(bounds, voters, side="left")
-    counts = np.bincount(region, minlength=bounds.size + 1)
     edges = np.concatenate(([0.0], bounds, [1.0]))
+    counts = rng.multinomial(n_voters, np.diff(d.cdf(edges)))
     ballots = Counter()
     for r in np.nonzero(counts)[0]:
         rep = 0.5 * (edges[r] + edges[r + 1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,61 @@ def test_tabulated_matches_linear_density():
     p = np.linspace(0.02, 0.98, 20)
     assert np.allclose(d.cdf(d.quantile(p)), p, atol=1e-9)
     assert d.classify_shape().label is Monotonicity.NON_DECREASING_LEFT
+
+
+def _tables():
+    grid = np.linspace(0, 1, 201)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the interior-zero table warns
+        return {
+            "tent": Tabulated(grid, 2 - np.abs(4 * grid - 2)),
+            "cos2": Tabulated(grid, 0.4 + np.cos(2 * np.pi * grid) ** 2),
+            "interior-zero": Tabulated(np.linspace(0, 1, 5), np.array([2.0, 0, 2, 0, 2])),
+        }
+
+
+@pytest.mark.parametrize("name", ["tent", "cos2", "interior-zero"])
+def test_tabulated_quantile_inverts_cdf_exactly(name):
+    d = _tables()[name]
+    p = np.sort(np.concatenate((
+        np.random.default_rng(0).random(100_000), d._cum, [0.0, 1.0]
+    )))
+    q = d.quantile(p)
+    assert not np.isnan(q).any()
+    assert np.all(np.diff(q) >= 0)
+    assert np.max(np.abs(d.cdf(q) - p)) <= 2.3e-16
+
+
+def test_tabulated_quantile_monotone_on_tables_with_zero_pieces():
+    # Random symmetric tables, most with zero knots; p at every CDF knot, one
+    # ulp either side of it, and at random.
+    rng = np.random.default_rng(2)
+    for _ in range(500):
+        half = rng.random(int(rng.integers(2, 12)))
+        half[rng.random(half.size) < 0.4] = 0.0
+        if not half.any():
+            continue
+        dens = np.concatenate((half, half[-2::-1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d = Tabulated(np.linspace(0, 1, dens.size), dens)
+        knots = np.clip(d._cum, 0, 1)
+        p = np.sort(np.clip(np.concatenate((
+            knots, np.nextafter(knots, 2), np.nextafter(knots, -1), rng.random(100)
+        )), 0, 1))
+        q = d.quantile(p)
+        assert np.all((q >= 0) & (q <= 1)), dens
+        assert np.all(np.diff(q) >= 0), dens
+
+
+def test_tabulated_quantile_closed_forms():
+    p = np.random.default_rng(1).random(10_000)
+    # Two-point uniform table: the root is 2p / (1 + 1), exact in binary.
+    assert np.array_equal(Tabulated([0.0, 1.0], [1.0, 1.0]).quantile(p), p)
+    # Tent: F(x) = 2x² on [0, 1/2].
+    left = p[p <= 0.5]
+    ref = np.sqrt(left / 2)
+    assert np.all(np.abs(_tables()["tent"].quantile(left) - ref) <= 8 * np.spacing(ref))
 
 
 def test_tabulated_rejects_asymmetric():

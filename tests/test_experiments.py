@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irvsim
 from irvsim import cli, experiments
 from irvsim.errors import CheckFailed, DomainError
 from irvsim.experiments import (
@@ -49,7 +50,9 @@ def test_write_csv_round_trip(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "i,x"
     assert float(lines[1].split(",")[1]) == value  # 17 sig digits round-trip
-    assert RunManifest.read(tmp_path / "out.manifest.json").config == {"case": "round-trip"}
+    saved = RunManifest.read(tmp_path / "out.manifest.json")
+    assert saved.config == {"case": "round-trip"}
+    assert saved.version == irvsim.__version__  # also from a source checkout
 
 
 def _reference_csv(header, rows):
@@ -177,6 +180,10 @@ def test_verify_suite_passes(tmp_path):
     assert all(c["claim"] for c in report["checks"])
     saved = json.loads((tmp_path / "verify_report.json").read_text())
     assert saved["passed"]
+    # The manifest records what verify reads, the seed, and the real duration.
+    manifest = RunManifest.read(tmp_path / "verify_report.manifest.json")
+    assert manifest.config == {"seed": 0}
+    assert manifest.duration_seconds == saved["duration_seconds"] > 0
 
 
 def test_verify_detects_injected_fault(monkeypatch):

@@ -134,12 +134,40 @@ def test_sample_ballots_voter_at_candidate():
 
 
 def test_sample_ballots_equidistant_prefers_left():
-    # One-point "distribution" is impossible, but with k=2 the bisector rule
-    # is visible in the region counts: voters at exactly 0.5 count left.
+    # The bisector 0.5 has no mass, so no voter is equidistant: the two
+    # regions of a symmetric profile hold about half the voters each.
     p = Profile([0.4, 0.6])
     ballots = sample_ballots(p, U, 100000, np.random.default_rng(2))
     frac_left = ballots[(0, 1)] / 100000
     assert frac_left == pytest.approx(0.5, abs=0.01)
+
+
+class _NoVoters(Uniform):
+    def sample(self, rng, size=None):
+        raise AssertionError("sample_ballots drew voter positions")
+
+
+def test_sample_ballots_draws_region_counts_not_voters():
+    ballots = sample_ballots(Profile([0.1, 0.3, 0.8]), _NoVoters(), 1000,
+                             np.random.default_rng(0))
+    assert sum(ballots.values()) == 1000
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_sample_ballots_region_counts_follow_multinomial_law(k):
+    n = 1_000_000
+    rng = np.random.default_rng(100 + k)
+    srt = np.sort(rng.random(k))
+    ballots = sample_ballots(Profile(srt), U, n, rng)
+    assert sum(ballots.values()) == n
+    edges = np.unique(np.concatenate((
+        [0.0, 1.0], [(a + b) / 2 for i, a in enumerate(srt) for b in srt[i + 1:]]
+    )))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mass = hi - lo  # uniform voters
+        key = tuple(np.argsort(np.abs((lo + hi) / 2 - srt), kind="stable").tolist())
+        sigma = math.sqrt(n * mass * (1 - mass))
+        assert abs(ballots[key] - n * mass) <= 5 * sigma, (key, ballots[key], n * mass)
 
 
 def test_irv_discrete_identical_ballots():
