@@ -12,7 +12,6 @@ __version__ = "1.0.0"
 from .asymptotics import (
     GumbelExperimentResult,
     circle_coupling_experiment,
-    gaps_from_exponential,
     gaps_from_uniform,
     gumbel_cdf,
     ks_statistic,

@@ -15,16 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tabulate, zones
 from .chunks import DRAWS_PER_CHUNK, map_chunks
 from .dist import Uniform, VoterDistribution
 from .errors import DomainError, require
-from .tabulate import Rule, irv_batch, plurality_batch, sample_sorted_positions, shares_batch
+# Unused here, but perfbench/tracer.py looks up asymptotics.{irv,plurality}_batch by name.
+from .tabulate import Rule, irv_batch, plurality_batch, shares_batch  # noqa: F401
 
 __all__ = [
     "gumbel_cdf",
     "spacings",
     "gaps_from_uniform",
-    "gaps_from_exponential",
     "GumbelExperimentResult",
     "winning_share_experiment",
     "max_gap_experiment",
@@ -63,13 +64,6 @@ def gaps_from_uniform(n: int, rng) -> np.ndarray:
         raise DomainError("n must be >= 1")
     cuts = np.sort(rng.random(n - 1))
     return np.diff(np.concatenate(([0.0], cuts, [1.0])))
-
-
-def gaps_from_exponential(n: int, rng) -> np.ndarray:
-    """The n spacings as normalized unit exponentials X_i / T_n."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return spacings(n, 1, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -199,17 +193,13 @@ def winner_uniformity_experiment(
     if k < 1:
         raise DomainError("k must be >= 1")
     uniform_voters = isinstance(d, Uniform)
+    zone = zones.zone_closed_form(d) if uniform_voters and rule is Rule.IRV else None
 
     def chunk(_index, chunk_trials, rng):
-        pos = sample_sorted_positions(d, k, chunk_trials, rng)
-        if rule is Rule.PLURALITY:
-            w, _, _ = plurality_batch(pos, d)
-        else:
-            w, _ = irv_batch(pos, d)
-            if uniform_voters:
-                has_moderate = np.any((pos >= 1 / 6) & (pos <= 5 / 6), axis=1)
-                require(np.all((w[has_moderate] >= 1 / 6) & (w[has_moderate] <= 5 / 6)),
-                        "an IRV winner escaped [1/6, 5/6]")
+        pos = tabulate.sample_sorted_positions(d, k, chunk_trials, rng)
+        w, _ = tabulate.winners(rule, pos, d)
+        if zone is not None:
+            require(not zone.violations(pos, w).any(), "an IRV winner escaped [1/6, 5/6]")
         return w
 
     winners = np.concatenate(

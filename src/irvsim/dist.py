@@ -212,6 +212,9 @@ class Tabulated(VoterDistribution):
         cum = np.concatenate(
             ([0.0], np.cumsum(0.5 * (densities[1:] + densities[:-1]) * np.diff(grid)))
         )
+        # Rounding can carry the running sum past 1 before the last knot; clamp
+        # rather than renormalize, so the table stays sorted for searchsorted.
+        cum = np.minimum(cum, 1.0)
         cum[-1] = 1.0
 
         self._grid = grid

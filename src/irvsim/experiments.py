@@ -26,7 +26,6 @@ from .chunks import chunk_rng, map_chunks as _map_chunks
 from .dist import SymmetricBeta, Uniform, VoterDistribution, parse_dist_spec
 from .errors import DomainError, UnsupportedRegimeError, require
 from .tabulate import Rule
-from .zones import ZoneKind
 
 __all__ = [
     "ExperimentConfig",
@@ -152,28 +151,40 @@ def write_csv(path: Path, header, columns, manifest: RunManifest) -> Path:
     return path
 
 
-def _finish(cfg: ExperimentConfig, t0: float, summaries: dict, files: dict, notes=()) -> dict:
+def _finish(cfg: ExperimentConfig, t0: float, summaries: dict, files: dict, notes=(),
+            unread=()) -> dict:
     """Build the run's manifest; write each {name: (header, columns)} to out_dir with it.
 
     Drivers collect `files` only when cfg.out_dir is set, so that a run
-    without output holds no columns.
+    without output holds no columns. The manifest's config omits the
+    `unread` fields, which the driver does not read.
     """
-    manifest = RunManifest(cfg.echo(), duration_seconds=time.monotonic() - t0,
+    config = {key: value for key, value in cfg.echo().items() if key not in unread}
+    manifest = RunManifest(config, duration_seconds=time.monotonic() - t0,
                            summaries=summaries, notes=list(notes))
     for name, (header, columns) in files.items():
         write_csv(Path(cfg.out_dir) / name, header, columns, manifest)
     return {"summaries": summaries, "manifest": manifest}
 
 
-def _winner_batches(cfg: ExperimentConfig, experiment_id: str, rule: Rule, k: int, d):
+def _elections(cfg: ExperimentConfig, experiment_id: str, d, k: int, rules, zone=None):
+    """The election kernel: per chunk, sample sorted positions once and tabulate every rule.
+
+    Returns ({rule: (winners, ties)}, violations). `violations` flags the
+    trials where the IRV winner breaks `zone`; it is None without a zone or
+    without IRV among `rules`.
+    """
+    check = zone is not None and Rule.IRV in rules
+
     def one(chunk_index, chunk_trials, rng):
         pos = tabulate.sample_sorted_positions(d, k, chunk_trials, rng)
-        return tabulate.winners(rule, pos, d)
+        out = {rule: tabulate.winners(rule, pos, d) for rule in rules}
+        return out, zone.violations(pos, out[Rule.IRV][0]) if check else None
 
     parts = _map_chunks(one, cfg.master_seed, experiment_id, cfg.trials, cfg.threads)
-    winners = np.concatenate([p[0] for p in parts])
-    ties = np.concatenate([p[1] for p in parts])
-    return winners, ties
+    results = {rule: tuple(np.concatenate([p[0][rule][i] for p in parts]) for i in (0, 1))
+               for rule in rules}
+    return results, np.concatenate([p[1] for p in parts]) if check else None
 
 
 def run_winner_histograms(cfg: ExperimentConfig) -> dict:
@@ -186,7 +197,7 @@ def run_winner_histograms(cfg: ExperimentConfig) -> dict:
     for rule in cfg.rules:
         for k in cfg.ks:
             exp_id = f"winners/{rule.value}/k={k}/{cfg.dist_spec}"
-            winners, ties = _winner_batches(cfg, exp_id, rule, k, d)
+            winners, ties = _elections(cfg, exp_id, d, k, (rule,))[0][rule]
             entry = {
                 "rule": rule.value,
                 "k": k,
@@ -221,30 +232,17 @@ def _zone_for_alpha(alpha: float):
     return d, zone
 
 
-def _zone_violations(zone, pos: np.ndarray, winners: np.ndarray) -> np.ndarray:
-    """Trials where a candidate sits in the zone but the winner does not.
-
-    The zone claim is conditional: it only binds when at least one candidate
-    occupies the zone.
-    """
-    c = zone.c
-    if zone.zone_kind is ZoneKind.MODERATE_INTERVAL:
-        occupied = np.any((pos >= c) & (pos <= 1.0 - c), axis=1)
-        winner_in = (winners >= c) & (winners <= 1.0 - c)
-    else:
-        occupied = np.any((pos <= c) | (pos >= 1.0 - c), axis=1)
-        winner_in = (winners <= c) | (winners >= 1.0 - c)
-    return occupied & ~winner_in
-
-
 def run_beta_sweep(cfg: ExperimentConfig) -> dict:
     """Both rules across Beta(alpha, alpha) voters, with closed-form zone flags.
 
     Per alpha, every rule tabulates the same candidate draws, so the rules
-    are compared on paired profiles.
+    are compared on paired profiles. The voters are Beta(alpha, alpha), so
+    the manifest records no `dist`.
     """
     if not cfg.alphas:
         raise DomainError("alpha list must be nonempty")
+    if len(cfg.ks) != 1:
+        raise DomainError(f"betasweep takes exactly one k, got {list(cfg.ks)}")
     t0 = time.monotonic()
     k = cfg.ks[0]
     summaries = {}
@@ -252,25 +250,13 @@ def run_beta_sweep(cfg: ExperimentConfig) -> dict:
     for alpha in cfg.alphas:
         d, zone = _zone_for_alpha(alpha)
         exp_id = f"betasweep/alpha={alpha:g}/k={k}"
-
-        def one(chunk_index, chunk_trials, rng, d=d, zone=zone):
-            pos = tabulate.sample_sorted_positions(d, k, chunk_trials, rng)
-            out = []
-            for rule in cfg.rules:
-                w, _ = tabulate.winners(rule, pos, d)
-                viol = (
-                    _zone_violations(zone, pos, w)
-                    if (zone is not None and rule is Rule.IRV)
-                    else np.zeros(chunk_trials, dtype=bool)
-                )
-                out.append((w, viol))
-            return out
-
-        parts = _map_chunks(one, cfg.master_seed, exp_id, cfg.trials, cfg.threads)
-        for r, rule in enumerate(cfg.rules):
-            viol = np.concatenate([p[r][1] for p in parts])
+        results, irv_viol = _elections(cfg, exp_id, d, k, cfg.rules, zone)
+        no_viol = np.zeros(cfg.trials, dtype=bool)
+        for rule in cfg.rules:
+            winners, _ = results[rule]
+            viol = irv_viol if rule is Rule.IRV and irv_viol is not None else no_viol
             if cfg.out_dir is not None:
-                held.append((alpha, rule.value, np.concatenate([p[r][0] for p in parts]), viol))
+                held.append((alpha, rule.value, winners, viol))
             entry = {
                 "alpha": alpha,
                 "rule": rule.value,
@@ -294,28 +280,21 @@ def run_beta_sweep(cfg: ExperimentConfig) -> dict:
         files["beta_sweep.csv"] = (["alpha", "rule", "winner_position", "violation"], columns)
     notes = ["figure-reproduction default is k=30; a k=20 variant appears in some "
              "descriptions of the same sweep"]
-    return _finish(cfg, t0, summaries, files, notes)
+    return _finish(cfg, t0, summaries, files, notes, unread=("dist",))
 
 
 def run_scatter(cfg: ExperimentConfig) -> dict:
     """Per trial, tabulate the same candidate draw under both rules."""
+    if set(cfg.rules) != set(Rule):
+        raise DomainError("scatter compares both rules; rules must hold plurality and irv")
     t0 = time.monotonic()
     d = cfg.distribution()
     summaries = {}
     files = {}
     for k in cfg.ks:
-        exp_id = f"scatter/k={k}/{cfg.dist_spec}"
-
-        def one(chunk_index, chunk_trials, rng, k=k):
-            pos = tabulate.sample_sorted_positions(d, k, chunk_trials, rng)
-            wp, tie_p = tabulate.winners(Rule.PLURALITY, pos, d)
-            wr, tie_r = tabulate.winners(Rule.IRV, pos, d)
-            return wp, wr, tie_p | tie_r
-
-        parts = _map_chunks(one, cfg.master_seed, exp_id, cfg.trials, cfg.threads)
-        wp = np.concatenate([p[0] for p in parts])
-        wr = np.concatenate([p[1] for p in parts])
-        tie = np.concatenate([p[2] for p in parts])
+        results, _ = _elections(cfg, f"scatter/k={k}/{cfg.dist_spec}", d, k, tuple(Rule))
+        (wp, tie_p), (wr, tie_r) = results[Rule.PLURALITY], results[Rule.IRV]
+        tie = tie_p | tie_r
         ext_p = np.abs(wp - 0.5)
         ext_r = np.abs(wr - 0.5)
         clean = ~tie
@@ -377,8 +356,7 @@ def _verify_zone_sweep(seed):
     rng = chunk_rng(seed, "verify/zone-sweep", 0)
     pos = tabulate.sample_sorted_positions(d, 6, 20_000, rng)
     w, _ = tabulate.winners(Rule.IRV, pos, d)
-    occupied = np.any((pos >= 1 / 6) & (pos <= 5 / 6), axis=1)
-    bad = int(np.count_nonzero(occupied & ~((w >= 1 / 6) & (w <= 5 / 6))))
+    bad = int(np.count_nonzero(zones.zone_closed_form(d).violations(pos, w)))
     require(bad == 0, f"{bad} winners escaped [1/6, 5/6]")
     return {"trials": 20_000, "violations": bad}
 

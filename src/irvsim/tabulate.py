@@ -47,7 +47,6 @@ class TieRule(enum.Enum):
     """Deterministic tie policies; ties are measure-zero under continuous draws."""
 
     ELIMINATE_LEFTMOST = "eliminate-leftmost"
-    ELIMINATE_RIGHTMOST = "eliminate-rightmost"
     ERROR = "error"
 
 
@@ -150,7 +149,7 @@ def plurality_winner(p: Profile, d: VoterDistribution, tie_rule=TieRule.ELIMINAT
             raise TieError(0, [int(originals[j]) for j in tied])
         tie_events = ((0, tuple(int(originals[j]) for j in tied)),)
     # Eliminating leftmost among ties leaves the rightmost tied candidate as winner.
-    j = tied[-1] if tie_rule is not TieRule.ELIMINATE_RIGHTMOST else tied[0]
+    j = tied[-1]
     return TabulationOutcome(
         rounds=(Round(tuple(int(i) for i in originals), tuple(shares)),),
         elimination_order=(),
@@ -177,7 +176,7 @@ def irv_winner(p: Profile, d: VoterDistribution, tie_rule=TieRule.ELIMINATE_LEFT
             if tie_rule is TieRule.ERROR:
                 raise TieError(ri, [originals[j] for j in tied])
             ties.append((ri, tuple(originals[j] for j in tied)))
-        j = int(tied[-1] if tie_rule is TieRule.ELIMINATE_RIGHTMOST else tied[0])
+        j = int(tied[0])
         elim.append(originals[j])
         srt = np.delete(srt, j)
         del originals[j]
@@ -226,9 +225,9 @@ def sample_ballots(p: Profile, d: VoterDistribution, n_voters: int, rng) -> Coun
 def irv_discrete(ballots, tie_rule=TieRule.ELIMINATE_LEFTMOST, positions=None) -> int:
     """Standard IRV on a ballot multiset; returns the winning candidate index.
 
-    `ballots` is a Counter (or iterable of ranking tuples). Tie policies that
-    refer to left/right use `positions` (mapping index -> position) when given,
-    falling back to index order.
+    `ballots` is a Counter (or iterable of ranking tuples). Leftmost
+    elimination orders tied candidates by `positions` (mapping index ->
+    position) when given, falling back to index order.
     """
     if not isinstance(ballots, Counter):
         ballots = Counter(ballots)
@@ -253,8 +252,7 @@ def irv_discrete(ballots, tie_rule=TieRule.ELIMINATE_LEFTMOST, positions=None) -
         tied = sorted((i for i in active if counts[i] == low), key=place)
         if len(tied) > 1 and tie_rule is TieRule.ERROR:
             raise TieError(ri, tied)
-        loser = tied[-1] if tie_rule is TieRule.ELIMINATE_RIGHTMOST else tied[0]
-        active.remove(loser)
+        active.remove(tied[0])
         ri += 1
     return next(iter(active))
 

@@ -68,10 +68,19 @@ class ExclusionZone:
         if self.c == 0.0:
             warnings.warn("degenerate zero-width exclusion zone (c = 0)", stacklevel=3)
 
-    def contains_winner(self, x: float) -> bool:
+    def contains_winner(self, x):
+        """Whether position x lies in the zone; elementwise for an array."""
+        c = self.c
         if self.zone_kind is ZoneKind.MODERATE_INTERVAL:
-            return self.c <= x <= 1.0 - self.c
-        return x <= self.c or x >= 1.0 - self.c
+            return (x >= c) & (x <= 1.0 - c)
+        return (x <= c) | (x >= 1.0 - c)
+
+    def violations(self, sorted_pos: np.ndarray, winners: np.ndarray) -> np.ndarray:
+        """Rows of (trials, k) positions where a candidate is in the zone and the winner is not.
+
+        The zone claim is conditional: it binds only when a candidate occupies the zone.
+        """
+        return np.any(self.contains_winner(sorted_pos), axis=1) & ~self.contains_winner(winners)
 
     def to_json(self) -> dict:
         return {"c": self.c, "kind": self.zone_kind.value, "regime": self.regime.value}

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from irvsim import asymptotics
+from irvsim import asymptotics, tabulate
 from irvsim.asymptotics import (
     _gap_shares,
     circle_coupling_experiment,
-    gaps_from_exponential,
     gaps_from_uniform,
     gumbel_cdf,
     ks_statistic,
     max_gap_experiment,
+    spacings,
     winner_uniformity_experiment,
     winning_share_experiment,
 )
 from irvsim.dist import Uniform
-from irvsim.errors import DomainError
+from irvsim.errors import CheckFailed, DomainError
 from irvsim.tabulate import Rule, shares_batch
 
 
@@ -36,7 +36,7 @@ def test_ks_statistic_perfect_fit():
 def test_stick_breaking_invariants():
     rng = np.random.default_rng(0)
     for n in (1, 2, 10, 1000):
-        for sample in (gaps_from_uniform(n, rng), gaps_from_exponential(n, rng)):
+        for sample in (gaps_from_uniform(n, rng), spacings(n, 1, rng)[0]):
             assert sample.size == n
             assert abs(sample.sum() - 1.0) < 1e-12
             assert np.all(sample >= 0)
@@ -47,7 +47,7 @@ def test_stick_breaking_constructions_agree_in_distribution():
     rng = np.random.default_rng(1)
     n, trials = 1000, 100_000
     a = np.array([gaps_from_uniform(n, rng).max() for _ in range(200)])
-    b = np.array([gaps_from_exponential(n, rng).max() for _ in range(200)])
+    b = np.array([spacings(n, 1, rng)[0].max() for _ in range(200)])
     # crude two-sample KS on modest trial counts
     pooled = np.sort(np.concatenate([a, b]))
     fa = np.searchsorted(np.sort(a), pooled, side="right") / a.size
@@ -103,6 +103,16 @@ def test_irv_winners_stay_inside_zone():
     res = winner_uniformity_experiment(Rule.IRV, 100, 2000, Uniform(), 8)
     outside = np.sum((res.winner_positions < 1 / 6) | (res.winner_positions > 5 / 6))
     assert outside == 0
+
+
+def test_uniformity_zone_check_fails_on_a_faulty_tabulator(monkeypatch):
+    # Elect the leftmost candidate: with k = 100 it lies below 1/6 in nearly
+    # every trial, so the per-trial zone check must raise.
+    monkeypatch.setattr(tabulate, "irv_batch", lambda pos, d: (
+        pos[:, 0], np.zeros(pos.shape[0], dtype=bool)
+    ))
+    with pytest.raises(CheckFailed):
+        winner_uniformity_experiment(Rule.IRV, 100, 2000, Uniform(), 8)
 
 
 @pytest.mark.parametrize("k", [*range(1, 13), 100_000])

@@ -139,6 +139,24 @@ def test_tabulated_quantile_monotone_on_tables_with_zero_pieces():
         assert np.all(np.diff(q) >= 0), dens
 
 
+def test_tabulated_cdf_table_is_sorted_on_tables_with_zero_knots():
+    # The running mass can round past 1 before the last knot; forcing only the
+    # last entry to 1 left quantile's searchsorted table unsorted.
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        left = rng.random(int(rng.integers(2, 12)))
+        left[rng.random(left.size) < 0.3] = 0.0
+        left[0] = 0.0
+        if not left.any():
+            continue
+        dens = np.concatenate((left, left[::-1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d = Tabulated(np.linspace(0, 1, dens.size), dens)
+        assert np.all(np.diff(d._cum) >= 0), dens
+        assert d._cum[-1] == 1.0
+
+
 def test_tabulated_quantile_closed_forms():
     p = np.random.default_rng(1).random(10_000)
     # Two-point uniform table: the root is 2p / (1 + 1), exact in binary.

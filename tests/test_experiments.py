@@ -164,6 +164,32 @@ def test_beta_sweep_requires_alphas():
         run_beta_sweep(ExperimentConfig(alphas=()))
 
 
+def test_beta_sweep_rejects_more_than_one_k():
+    with pytest.raises(DomainError, match="one k"):
+        run_beta_sweep(ExperimentConfig(alphas=(2.0,), ks=(5, 40), trials=10))
+
+
+def test_beta_sweep_manifest_records_no_dist(tmp_path):
+    # The voters are Beta(alpha, alpha); dist_spec is not read.
+    run_beta_sweep(ExperimentConfig(alphas=(2.0,), ks=(5,), trials=10, out_dir=tmp_path))
+    config = RunManifest.read(tmp_path / "beta_sweep.manifest.json").config
+    assert "dist" not in config and config["alphas"] == [2.0]
+
+
+def test_beta_sweep_counts_violations_of_a_faulty_tabulator(monkeypatch):
+    monkeypatch.setattr(experiments.tabulate, "irv_batch", lambda pos, d: (
+        pos[:, 0], np.zeros(pos.shape[0], dtype=bool)
+    ))
+    s = run_beta_sweep(ExperimentConfig(alphas=(2.0,), ks=(8,), trials=2000))["summaries"]
+    assert s["alpha=2/irv"]["violations"] > 0
+    assert s["alpha=2/plurality"]["violations"] == 0
+
+
+def test_scatter_rejects_a_single_rule():
+    with pytest.raises(DomainError, match="both rules"):
+        run_scatter(ExperimentConfig(rules=(Rule.IRV,), trials=10))
+
+
 def test_scatter_small_k_never_more_extreme(tmp_path):
     cfg = ExperimentConfig(ks=(3, 4), trials=20_000, out_dir=tmp_path, master_seed=6)
     res = run_scatter(cfg)

@@ -28,6 +28,10 @@ CASES = {
                             "--seed", "13"],
     "betasweep": ["betasweep", "--alpha", "0.5", "2", "--k", "8", "--trials", "5000",
                   "--seed", "12"],
+    # Extreme-pair zones with c of about 0.19 and 0.33, so the zone check is not
+    # trivial (at alpha = 0.5 c is about 0.5).
+    "betasweep-polarized": ["betasweep", "--alpha", "0.2", "0.3", "--k", "8",
+                            "--trials", "5000", "--seed", "14"],
 }
 
 GOLDEN = {
@@ -45,6 +49,7 @@ GOLDEN = {
     "gumbel-share-chunks": "bba07d9fdc6d28d36ae2944d44ad51d26ddcfe071695a9a1498305e78d3237c0",
     # Both rules tabulate one shared draw per alpha (a declared stream change).
     "betasweep": "b19368f3d3a7fad29b1d8300b6bab8cd010218f0c5ece1d38018540647827902",
+    "betasweep-polarized": "89dbf5572b28fb61d66d252936c1f7c6681f1381f2a55c8bad56d5b071eb3edc",
 }
 
 

@@ -27,6 +27,30 @@ def test_uniform_zone_is_one_sixth():
     assert not z.contains_winner(0.1)
 
 
+@pytest.mark.parametrize("d, kind", [
+    (U, ZoneKind.MODERATE_INTERVAL),
+    (SymmetricBeta(0.2), ZoneKind.EXTREME_PAIR),  # c about 0.19
+], ids=["moderate", "extreme-pair"])
+def test_zone_violations_match_scalar_check(d, kind):
+    zone = zone_closed_form(d)
+    assert zone.zone_kind is kind and 0.1 < zone.c < 0.2
+    # Both kinds of zone are closed: their edges belong to them.
+    assert zone.contains_winner(zone.c) and zone.contains_winner(1.0 - zone.c)
+    rng = np.random.default_rng(4)
+    pos = rng.random((3000, 4))
+    pos[:300, 0] = zone.c  # candidates exactly on the zone's edges
+    pos[200:500, 1] = 1.0 - zone.c
+    pos = np.sort(pos, axis=1)
+    winners = pos[np.arange(len(pos)), rng.integers(0, 4, len(pos))]
+    expected = [
+        any(zone.contains_winner(float(x)) for x in row) and not zone.contains_winner(float(w))
+        for row, w in zip(pos, winners)
+    ]
+    got = zone.violations(pos, winners)
+    assert got.dtype == bool and got.tolist() == expected
+    assert 0 < got.sum() < len(got)
+
+
 def test_condition_check_uniform():
     # g(x) = 1/2 - c for uniform voters, independent of x.
     ok = check_condition(U, 0.1)
