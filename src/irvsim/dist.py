@@ -1,7 +1,8 @@
 """Symmetric voter/candidate distributions on the unit interval.
 
-All distributions expose a density, CDF, quantile, and inverse-transform
-sampling, plus the shape classification (monotonicity of the density on the
+All distributions expose a density, CDF, quantile and seeded sampling
+(inverse transform, except that `SymmetricBeta` uses numpy's exact Beta
+sampler), plus the shape classification (monotonicity of the density on the
 left half and the hyper-polarization test F(1/4) > 1/3) that the exclusion
 zone solvers dispatch on. Distributions are immutable after construction and
 safe to share across threads; RNG state is always owned by the caller.
@@ -70,7 +71,10 @@ class VoterDistribution:
         raise NotImplementedError
 
     def sample(self, rng, size=None):
-        """Inverse-transform sampling; identical seeds give identical streams."""
+        """Draw from `rng` (inverse transform unless a subclass overrides it).
+
+        Identical seeds give identical streams.
+        """
         u = rng.random(size)
         return self.quantile(u)
 
@@ -150,6 +154,16 @@ class SymmetricBeta(VoterDistribution):
 
         q = special.betaincinv(self.alpha, self.alpha, p)
         return q if p.ndim else float(q)
+
+    def sample(self, rng, size=None):
+        """numpy's exact Beta sampler: Johnk's method for alpha <= 1, two gammas above.
+
+        It is far cheaper per value than inverting `betainc`. Beta(1, 1) keeps
+        the uniform stream, so it draws the same values as Uniform.
+        """
+        if self.alpha == 1.0:
+            return rng.random(size)
+        return rng.beta(self.alpha, self.alpha, size)
 
     def classify_shape(self) -> ShapeClass:
         hyper = self._is_hyper_polarized()

@@ -72,6 +72,16 @@ class ExperimentConfig:
         }
 
 
+def _library_versions() -> dict:
+    """The numpy and scipy versions; random streams and special functions come from them.
+
+    Bare `scipy` imports in about 12 ms; `scipy.special` stays unloaded.
+    """
+    import scipy
+
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
 @dataclass
 class RunManifest:
     config: dict
@@ -79,11 +89,13 @@ class RunManifest:
     duration_seconds: float = 0.0  # computation only, not serialization
     summaries: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+    libraries: dict = field(default_factory=_library_versions)
 
     def to_json(self) -> dict:
         return {
             "config": self.config,
             "version": self.version,
+            "libraries": self.libraries,
             "duration_seconds": self.duration_seconds,
             "summaries": self.summaries,
             "notes": self.notes,
@@ -104,6 +116,7 @@ class RunManifest:
             duration_seconds=data["duration_seconds"],
             summaries=data["summaries"],
             notes=data["notes"],
+            libraries=data.get("libraries", {}),  # absent before versions were recorded
         )
 
 
@@ -167,6 +180,21 @@ def _finish(cfg: ExperimentConfig, t0: float, summaries: dict, files: dict, note
     return {"summaries": summaries, "manifest": manifest}
 
 
+# The config fields, by their echo keys, that each driver does not read. A
+# driver rejects a non-default value in one, and its manifest leaves them out.
+_HISTOGRAMS_UNREAD = ("alphas",)
+_BETA_SWEEP_UNREAD = ("dist",)
+_SCATTER_UNREAD = ("alphas",)
+_VERIFY_UNREAD = ("rules", "dist", "ks", "alphas", "trials", "threads")
+
+
+def _reject_unread(cfg: ExperimentConfig, driver: str, unread) -> None:
+    defaults, given = ExperimentConfig().echo(), cfg.echo()
+    changed = [key for key in unread if given[key] != defaults[key]]
+    if changed:
+        raise DomainError(f"{driver} does not read {', '.join(changed)}")
+
+
 def _elections(cfg: ExperimentConfig, experiment_id: str, d, k: int, rules, zone=None):
     """The election kernel: per chunk, sample sorted positions once and tabulate every rule.
 
@@ -189,6 +217,7 @@ def _elections(cfg: ExperimentConfig, experiment_id: str, d, k: int, rules, zone
 
 def run_winner_histograms(cfg: ExperimentConfig) -> dict:
     """Winner positions per (rule, k); for k = 3 also the exact density overlay."""
+    _reject_unread(cfg, "run_winner_histograms", _HISTOGRAMS_UNREAD)
     t0 = time.monotonic()
     d = cfg.distribution()
     summaries = {}
@@ -218,7 +247,7 @@ def run_winner_histograms(cfg: ExperimentConfig) -> dict:
             if k == 3 and uniform:
                 grid = np.linspace(0.0, 1.0, 1001)
                 files[f"exact_density_{rule.value}_k3.csv"] = (["x", "density"], [grid, dens(grid)])
-    return _finish(cfg, t0, summaries, files)
+    return _finish(cfg, t0, summaries, files, unread=_HISTOGRAMS_UNREAD)
 
 
 def _zone_for_alpha(alpha: float):
@@ -237,8 +266,9 @@ def run_beta_sweep(cfg: ExperimentConfig) -> dict:
 
     Per alpha, every rule tabulates the same candidate draws, so the rules
     are compared on paired profiles. The voters are Beta(alpha, alpha), so
-    the manifest records no `dist`.
+    `dist_spec` must stay at its default, and the manifest records no `dist`.
     """
+    _reject_unread(cfg, "run_beta_sweep", _BETA_SWEEP_UNREAD)
     if not cfg.alphas:
         raise DomainError("alpha list must be nonempty")
     if len(cfg.ks) != 1:
@@ -280,11 +310,12 @@ def run_beta_sweep(cfg: ExperimentConfig) -> dict:
         files["beta_sweep.csv"] = (["alpha", "rule", "winner_position", "violation"], columns)
     notes = ["figure-reproduction default is k=30; a k=20 variant appears in some "
              "descriptions of the same sweep"]
-    return _finish(cfg, t0, summaries, files, notes, unread=("dist",))
+    return _finish(cfg, t0, summaries, files, notes, unread=_BETA_SWEEP_UNREAD)
 
 
 def run_scatter(cfg: ExperimentConfig) -> dict:
     """Per trial, tabulate the same candidate draw under both rules."""
+    _reject_unread(cfg, "run_scatter", _SCATTER_UNREAD)
     if set(cfg.rules) != set(Rule):
         raise DomainError("scatter compares both rules; rules must hold plurality and irv")
     t0 = time.monotonic()
@@ -313,7 +344,7 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
                 ["plurality_position", "irv_position", "irv_more_moderate", "tie"],
                 [wp, wr, more_moderate, tie],
             )
-    return _finish(cfg, t0, summaries, files)
+    return _finish(cfg, t0, summaries, files, unread=_SCATTER_UNREAD)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +465,11 @@ def _verify_small_k():
 
 
 def run_verify(cfg: ExperimentConfig) -> dict:
-    """Run the full desk-scale check suite; returns a machine-readable report."""
+    """Run the full desk-scale check suite; returns a machine-readable report.
+
+    It reads only `master_seed` and `out_dir`; its manifest records `seed`.
+    """
+    _reject_unread(cfg, "run_verify", _VERIFY_UNREAD)
     t0 = time.monotonic()
     seed = cfg.master_seed
     checks = [

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from irvsim.asymptotics import ks_statistic
 from irvsim.dist import (
     Monotonicity,
     SymmetricBeta,
@@ -203,3 +204,47 @@ def test_sampling_matches_cdf():
     s = np.sort(d.sample(rng, 20000))
     emp = np.arange(1, s.size + 1) / s.size
     assert np.max(np.abs(d.cdf(s) - emp)) < 0.02
+
+
+# The Beta sampler draws Beta(alpha, alpha) with numpy's rng.beta, not by
+# inverting the CDF, so these check its law against the CDF it never uses.
+BETA_SAMPLER_ALPHAS = (0.05, 0.3, 0.5, 2.0, 5.0)
+# Beta(0.05, 0.05) puts 8% of its mass within 2^-53 of 1, where every draw
+# (by any method) rounds to 1.0, an atom that no continuous CDF matches. So
+# the KS supremum is taken over t < 1 - 2^-40, where doubles resolve F.
+_KS_TOP = 1.0 - 2.0**-40
+
+
+def _ks_below(x, cdf, top):
+    """sup over t < top of |F_n(t) - F(t)|, with F_n the empirical CDF of all of x."""
+    s = np.sort(x)
+    s = s[s < top]
+    f = cdf(s)
+    i = np.arange(1, s.size + 1)
+    return float(max(np.max(i / x.size - f), np.max(f - (i - 1) / x.size)))
+
+
+def test_ks_below_matches_ks_statistic_without_an_atom():
+    x = np.random.default_rng(3).random(1000)
+    assert _ks_below(x, Uniform().cdf, 2.0) == ks_statistic(x, Uniform().cdf)
+
+
+@pytest.mark.parametrize("alpha", BETA_SAMPLER_ALPHAS)
+def test_beta_sampler_law(alpha):
+    d = SymmetricBeta(alpha)
+    x = d.sample(np.random.default_rng(2026), 1_000_000)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    assert _ks_below(x, d.cdf, _KS_TOP) <= 0.005
+    n = x.size
+    assert abs(x.mean() - 0.5) <= 4 * x.std() / np.sqrt(n)
+    dev2 = (x - 0.5) ** 2
+    assert abs(dev2.mean() - 1 / (4 * (2 * alpha + 1))) <= 4 * dev2.std() / np.sqrt(n)
+
+
+@pytest.mark.parametrize("alpha", BETA_SAMPLER_ALPHAS)
+def test_beta_sampler_is_seeded(alpha):
+    d = SymmetricBeta(alpha)
+    a = d.sample(np.random.default_rng(5), 1000)
+    b = d.sample(np.random.default_rng(5), 1000)
+    assert a.tobytes() == b.tobytes()
+    assert isinstance(d.sample(np.random.default_rng(5)), float)

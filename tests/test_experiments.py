@@ -120,9 +120,27 @@ def test_winner_histograms_smoke(tmp_path):
         assert data.exists()
         manifest_path = tmp_path / f"winners_{rule}_k3.manifest.json"
         m = RunManifest.read(manifest_path)
-        assert m.config["trials"] == 500
+        assert m.config["trials"] == 500 and "alphas" not in m.config
         assert (tmp_path / f"exact_density_{rule}_k3.csv").exists()
     assert res["summaries"]["irv_k3"]["ks_vs_exact"] < 0.1
+
+
+def test_manifest_records_library_versions(tmp_path):
+    import scipy
+
+    path = RunManifest({"seed": 1}).write(tmp_path / "run.csv")
+    m = RunManifest.read(path)
+    assert m.libraries == {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert m.to_json() == json.loads(path.read_text())
+
+
+def test_manifest_without_library_versions_still_reads(tmp_path):
+    path = RunManifest({"seed": 1}).write(tmp_path / "run.csv")
+    data = json.loads(path.read_text())
+    del data["libraries"]
+    path.write_text(json.dumps(data))
+    m = RunManifest.read(path)
+    assert m.libraries == {} and m.config == {"seed": 1}
 
 
 def test_winner_histograms_single_trial(tmp_path):
@@ -174,6 +192,21 @@ def test_beta_sweep_manifest_records_no_dist(tmp_path):
     run_beta_sweep(ExperimentConfig(alphas=(2.0,), ks=(5,), trials=10, out_dir=tmp_path))
     config = RunManifest.read(tmp_path / "beta_sweep.manifest.json").config
     assert "dist" not in config and config["alphas"] == [2.0]
+
+
+# A driver rejects a non-default value in a config field it does not read;
+# run_beta_sweep's voters are Beta(alpha, alpha), so it reads no dist_spec.
+@pytest.mark.parametrize("driver, fields, named", [
+    (run_beta_sweep, {"alphas": (2.0,), "ks": (5,), "dist_spec": "beta:0.3"}, "dist"),
+    (run_winner_histograms, {"alphas": (7.0,)}, "alphas"),
+    (run_scatter, {"alphas": (7.0,)}, "alphas"),
+    (run_verify, {"trials": 5}, "trials"),
+    (run_verify, {"threads": 2}, "threads"),
+    (run_verify, {"dist_spec": "beta:2", "ks": (4,)}, "dist, ks"),
+])
+def test_driver_rejects_fields_it_does_not_read(driver, fields, named):
+    with pytest.raises(DomainError, match=f"^{driver.__name__} does not read {named}$"):
+        driver(ExperimentConfig(**fields))
 
 
 def test_beta_sweep_counts_violations_of_a_faulty_tabulator(monkeypatch):

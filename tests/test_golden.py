@@ -47,9 +47,11 @@ GOLDEN = {
     "gumbel-share": "b55a926e0ab80d017706897edf01cdc7dadcdaa6fd2a6317d306caab6d5536d7",
     "gumbel-maxgap": "d51f80a7e9d8b7f3577d4ea76a7787d89de99d3c50de2be7fa86ea19c44cc5d8",
     "gumbel-share-chunks": "bba07d9fdc6d28d36ae2944d44ad51d26ddcfe071695a9a1498305e78d3237c0",
-    # Both rules tabulate one shared draw per alpha (a declared stream change).
-    "betasweep": "b19368f3d3a7fad29b1d8300b6bab8cd010218f0c5ece1d38018540647827902",
-    "betasweep-polarized": "89dbf5572b28fb61d66d252936c1f7c6681f1381f2a55c8bad56d5b071eb3edc",
+    # Both rules tabulate one shared draw per alpha, and Beta(alpha, alpha)
+    # candidates come from numpy's rng.beta instead of inverting betainc (two
+    # declared stream changes).
+    "betasweep": "1cf2cc395e08e7366b5aab7f42fa8f93206414cef85f75f160f3ab545101ee39",
+    "betasweep-polarized": "dd25059aee646d4146aef934516b96de9a85fb4fd7ce7e5754f6753acc02dc6b",
 }
 
 
