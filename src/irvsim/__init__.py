@@ -48,8 +48,8 @@ from .exactk3 import (
     plurality_density_k3,
 )
 from .experiments import (
-    ExperimentConfig,
     RunManifest,
+    RunSpec,
     run_beta_sweep,
     run_scatter,
     run_verify,

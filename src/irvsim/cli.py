@@ -17,7 +17,7 @@ import numpy as np
 from . import asymptotics, exactk3, experiments, zones
 from .dist import parse_dist_spec
 from .errors import IrvsimError
-from .experiments import ExperimentConfig, RunManifest, write_csv
+from .experiments import RunManifest, RunSpec, write_csv
 from .tabulate import Rule
 
 EXIT_OK = 0
@@ -116,15 +116,11 @@ def _emit(payload: dict):
     print(json.dumps(payload, indent=2, default=str))
 
 
-def _config(args, **fields) -> ExperimentConfig:
-    """The driver config from the common flags plus the subcommand's `fields`."""
-    return ExperimentConfig(master_seed=args.seed, out_dir=args.out, threads=args.threads, **fields)
-
-
 def _cmd_simulate(args) -> int:
-    cfg = _config(args, rules=_rules(args.rule), dist_spec=args.dist, ks=tuple(args.k),
-                  trials=args.trials)
-    _emit(experiments.run_winner_histograms(cfg)["summaries"])
+    run = RunSpec(args.trials, args.seed, args.threads, args.out)
+    res = experiments.run_winner_histograms(args.k, rules=_rules(args.rule), dist=args.dist,
+                                            run=run)
+    _emit(res["summaries"])
     return EXIT_OK
 
 
@@ -170,19 +166,19 @@ def _cmd_gumbel(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
-    cfg = _config(args, dist_spec=args.dist, ks=tuple(args.k), trials=args.trials)
-    _emit(experiments.run_scatter(cfg)["summaries"])
+    run = RunSpec(args.trials, args.seed, args.threads, args.out)
+    _emit(experiments.run_scatter(args.k, dist=args.dist, run=run)["summaries"])
     return EXIT_OK
 
 
 def _cmd_betasweep(args) -> int:
-    cfg = _config(args, alphas=tuple(args.alpha), ks=(args.k,), trials=args.trials)
-    _emit(experiments.run_beta_sweep(cfg)["summaries"])
+    run = RunSpec(args.trials, args.seed, args.threads, args.out)
+    _emit(experiments.run_beta_sweep(args.alpha, args.k, run=run)["summaries"])
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    report = experiments.run_verify(ExperimentConfig(master_seed=args.seed, out_dir=args.out))
+    report = experiments.run_verify(args.seed, args.out)
     _emit(report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 

@@ -1,10 +1,11 @@
 """Seeded Monte Carlo experiment drivers and reproducible file outputs.
 
-Each driver takes an ExperimentConfig, runs a deterministic chunked
-simulation, writes CSV (floats at 17 significant digits, lossless round-trip)
-with a sibling JSON manifest per file, and returns a summary. Trials run on
-the chunk engine in `chunks`, so outputs are bitwise identical regardless of
-worker count.
+Each driver takes keyword arguments for exactly what it reads, with the trial
+count, seed, threads and output directory as one RunSpec. It runs a
+deterministic chunked simulation, writes CSV (floats at 17 significant digits,
+lossless round-trip) with a sibling JSON manifest per file, and returns a
+summary. Trials run on the chunk engine in `chunks`, so outputs are bitwise
+identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from . import __version__, asymptotics, exactk3, tabulate, zones
 # wherever an irvsim module holds the same function object, so this binding
 # also gets the asymptotics chunks traced.
 from .chunks import chunk_rng, map_chunks as _map_chunks
-from .dist import SymmetricBeta, Uniform, VoterDistribution, parse_dist_spec
+from .dist import SymmetricBeta, Uniform, parse_dist_spec
 from .errors import DomainError, UnsupportedRegimeError, require
 from .tabulate import Rule
 
 __all__ = [
-    "ExperimentConfig",
+    "RunSpec",
     "RunManifest",
     "chunk_rng",
     "write_csv",
@@ -40,36 +41,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    rules: tuple = (Rule.PLURALITY, Rule.IRV)
-    dist_spec: str = "uniform"
-    ks: tuple = (3,)
-    alphas: tuple = ()
-    trials: int = 1000
-    master_seed: int = 0
-    out_dir: Path | None = None
+class RunSpec:
+    """A driver run's trial count, master seed, worker threads and output directory."""
+
+    trials: int
+    seed: int
     threads: int = 1
+    out_dir: Path | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-        if any(k < 1 for k in self.ks):
-            raise DomainError("k must be >= 1")
-        parse_dist_spec(self.dist_spec)  # validate eagerly
-
-    def distribution(self) -> VoterDistribution:
-        return parse_dist_spec(self.dist_spec)
-
-    def echo(self) -> dict:
-        return {
-            "rules": [r.value for r in self.rules],
-            "dist": self.dist_spec,
-            "ks": list(self.ks),
-            "alphas": list(self.alphas),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "threads": self.threads,
-        }
+        if self.threads < 1:
+            raise DomainError("threads must be >= 1")
 
 
 def _library_versions() -> dict:
@@ -164,38 +148,40 @@ def write_csv(path: Path, header, columns, manifest: RunManifest) -> Path:
     return path
 
 
-def _finish(cfg: ExperimentConfig, t0: float, summaries: dict, files: dict, notes=(),
-            unread=()) -> dict:
-    """Build the run's manifest; write each {name: (header, columns)} to out_dir with it.
+def _finish(run: RunSpec, t0: float, config: dict, summaries: dict, files: dict,
+            notes=()) -> dict:
+    """Build the run's manifest; write each {name: (header, columns)} to run.out_dir with it.
 
-    Drivers collect `files` only when cfg.out_dir is set, so that a run
-    without output holds no columns. The manifest's config omits the
-    `unread` fields, which the driver does not read.
+    Drivers collect `files` only when run.out_dir is set, so that a run
+    without output holds no columns. The manifest's config is the driver's
+    own `config` followed by the trial count, seed and threads.
     """
-    config = {key: value for key, value in cfg.echo().items() if key not in unread}
+    config = {**config, "trials": run.trials, "master_seed": run.seed, "threads": run.threads}
     manifest = RunManifest(config, duration_seconds=time.monotonic() - t0,
                            summaries=summaries, notes=list(notes))
     for name, (header, columns) in files.items():
-        write_csv(Path(cfg.out_dir) / name, header, columns, manifest)
+        write_csv(Path(run.out_dir) / name, header, columns, manifest)
     return {"summaries": summaries, "manifest": manifest}
 
 
-# The config fields, by their echo keys, that each driver does not read. A
-# driver rejects a non-default value in one, and its manifest leaves them out.
-_HISTOGRAMS_UNREAD = ("alphas",)
-_BETA_SWEEP_UNREAD = ("dist",)
-_SCATTER_UNREAD = ("alphas",)
-_VERIFY_UNREAD = ("rules", "dist", "ks", "alphas", "trials", "threads")
+def _require_distinct(name: str, values, key) -> None:
+    """Raise DomainError when two `values` share a summary key, so one would hide the other."""
+    seen = {}
+    for value in values:
+        label = key(value)
+        if label in seen:
+            raise DomainError(f"{name} {seen[label]!r} and {value!r} share the summary key "
+                              f"{label!r}")
+        seen[label] = value
 
 
-def _reject_unread(cfg: ExperimentConfig, driver: str, unread) -> None:
-    defaults, given = ExperimentConfig().echo(), cfg.echo()
-    changed = [key for key in unread if given[key] != defaults[key]]
-    if changed:
-        raise DomainError(f"{driver} does not read {', '.join(changed)}")
+def _check_ks(ks) -> None:
+    if any(k < 1 for k in ks):
+        raise DomainError("k must be >= 1")
+    _require_distinct("k", ks, "k{}".format)
 
 
-def _elections(cfg: ExperimentConfig, experiment_id: str, d, k: int, rules, zone=None):
+def _elections(run: RunSpec, experiment_id: str, d, k: int, rules, zone=None):
     """The election kernel: per chunk, sample sorted positions once and tabulate every rule.
 
     Returns ({rule: (winners, ties)}, violations). `violations` flags the
@@ -209,28 +195,31 @@ def _elections(cfg: ExperimentConfig, experiment_id: str, d, k: int, rules, zone
         out = {rule: tabulate.winners(rule, pos, d) for rule in rules}
         return out, zone.violations(pos, out[Rule.IRV][0]) if check else None
 
-    parts = _map_chunks(one, cfg.master_seed, experiment_id, cfg.trials, cfg.threads)
+    parts = _map_chunks(one, run.seed, experiment_id, run.trials, run.threads)
     results = {rule: tuple(np.concatenate([p[0][rule][i] for p in parts]) for i in (0, 1))
                for rule in rules}
     return results, np.concatenate([p[1] for p in parts]) if check else None
 
 
-def run_winner_histograms(cfg: ExperimentConfig) -> dict:
-    """Winner positions per (rule, k); for k = 3 also the exact density overlay."""
-    _reject_unread(cfg, "run_winner_histograms", _HISTOGRAMS_UNREAD)
+def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
+    """Winner positions per (rule, k) for voters drawn from the `dist` spec.
+
+    For k = 3 and uniform voters it adds the exact density overlay.
+    """
+    _check_ks(ks)
+    d = parse_dist_spec(dist)
     t0 = time.monotonic()
-    d = cfg.distribution()
     summaries = {}
     files = {}
     uniform = isinstance(d, Uniform)
-    for rule in cfg.rules:
-        for k in cfg.ks:
-            exp_id = f"winners/{rule.value}/k={k}/{cfg.dist_spec}"
-            winners, ties = _elections(cfg, exp_id, d, k, (rule,))[0][rule]
+    for rule in rules:
+        for k in ks:
+            exp_id = f"winners/{rule.value}/k={k}/{dist}"
+            winners, ties = _elections(run, exp_id, d, k, (rule,))[0][rule]
             entry = {
                 "rule": rule.value,
                 "k": k,
-                "trials": cfg.trials,
+                "trials": run.trials,
                 "ties": int(ties.sum()),
                 "mean": float(winners.mean()),
                 "var_about_half": float(np.mean((winners - 0.5) ** 2)),
@@ -239,7 +228,7 @@ def run_winner_histograms(cfg: ExperimentConfig) -> dict:
                 dens = exactk3.density_k3(rule)
                 entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, dens.antiderivative())
             summaries[f"{rule.value}_k{k}"] = entry
-            if cfg.out_dir is None:
+            if run.out_dir is None:
                 continue
             files[f"winners_{rule.value}_k{k}.csv"] = (
                 ["trial", "winner_position", "tie"], [np.arange(winners.size), winners, ties]
@@ -247,7 +236,8 @@ def run_winner_histograms(cfg: ExperimentConfig) -> dict:
             if k == 3 and uniform:
                 grid = np.linspace(0.0, 1.0, 1001)
                 files[f"exact_density_{rule.value}_k3.csv"] = (["x", "density"], [grid, dens(grid)])
-    return _finish(cfg, t0, summaries, files, unread=_HISTOGRAMS_UNREAD)
+    config = {"rules": [r.value for r in rules], "dist": dist, "ks": list(ks)}
+    return _finish(run, t0, config, summaries, files)
 
 
 def _zone_for_alpha(alpha: float):
@@ -261,37 +251,35 @@ def _zone_for_alpha(alpha: float):
     return d, zone
 
 
-def run_beta_sweep(cfg: ExperimentConfig) -> dict:
+def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
     """Both rules across Beta(alpha, alpha) voters, with closed-form zone flags.
 
-    Per alpha, every rule tabulates the same candidate draws, so the rules
-    are compared on paired profiles. The voters are Beta(alpha, alpha), so
-    `dist_spec` must stay at its default, and the manifest records no `dist`.
+    Per alpha, both rules tabulate the same candidate draws, so the rules
+    are compared on paired profiles.
     """
-    _reject_unread(cfg, "run_beta_sweep", _BETA_SWEEP_UNREAD)
-    if not cfg.alphas:
+    if not alphas:
         raise DomainError("alpha list must be nonempty")
-    if len(cfg.ks) != 1:
-        raise DomainError(f"betasweep takes exactly one k, got {list(cfg.ks)}")
+    _require_distinct("alpha", alphas, "alpha={:g}".format)
+    _check_ks([k])
     t0 = time.monotonic()
-    k = cfg.ks[0]
+    rules = tuple(Rule)
     summaries = {}
     held = []  # (alpha, rule, winners, violations), kept only for the CSV
-    for alpha in cfg.alphas:
+    for alpha in alphas:
         d, zone = _zone_for_alpha(alpha)
         exp_id = f"betasweep/alpha={alpha:g}/k={k}"
-        results, irv_viol = _elections(cfg, exp_id, d, k, cfg.rules, zone)
-        no_viol = np.zeros(cfg.trials, dtype=bool)
-        for rule in cfg.rules:
+        results, irv_viol = _elections(run, exp_id, d, k, rules, zone)
+        no_viol = np.zeros(run.trials, dtype=bool)
+        for rule in rules:
             winners, _ = results[rule]
             viol = irv_viol if rule is Rule.IRV and irv_viol is not None else no_viol
-            if cfg.out_dir is not None:
+            if run.out_dir is not None:
                 held.append((alpha, rule.value, winners, viol))
             entry = {
                 "alpha": alpha,
                 "rule": rule.value,
                 "k": k,
-                "trials": cfg.trials,
+                "trials": run.trials,
                 "bound_c": None if zone is None else zone.c,
                 "bound_kind": None if zone is None else zone.zone_kind.value,
                 # Degenerate when the bound carries no information: a zero-width
@@ -304,26 +292,25 @@ def run_beta_sweep(cfg: ExperimentConfig) -> dict:
             summaries[f"alpha={alpha:g}/{rule.value}"] = entry
     files = {}
     if held:
-        alphas, rules, winners, violations = zip(*held)
-        columns = [np.repeat(alphas, cfg.trials), np.repeat(rules, cfg.trials),
+        held_alphas, held_rules, winners, violations = zip(*held)
+        columns = [np.repeat(held_alphas, run.trials), np.repeat(held_rules, run.trials),
                    np.concatenate(winners), np.concatenate(violations)]
         files["beta_sweep.csv"] = (["alpha", "rule", "winner_position", "violation"], columns)
     notes = ["figure-reproduction default is k=30; a k=20 variant appears in some "
              "descriptions of the same sweep"]
-    return _finish(cfg, t0, summaries, files, notes, unread=_BETA_SWEEP_UNREAD)
+    config = {"rules": [r.value for r in rules], "ks": [k], "alphas": list(alphas)}
+    return _finish(run, t0, config, summaries, files, notes)
 
 
-def run_scatter(cfg: ExperimentConfig) -> dict:
+def run_scatter(ks, *, dist: str, run: RunSpec) -> dict:
     """Per trial, tabulate the same candidate draw under both rules."""
-    _reject_unread(cfg, "run_scatter", _SCATTER_UNREAD)
-    if set(cfg.rules) != set(Rule):
-        raise DomainError("scatter compares both rules; rules must hold plurality and irv")
+    _check_ks(ks)
+    d = parse_dist_spec(dist)
     t0 = time.monotonic()
-    d = cfg.distribution()
     summaries = {}
     files = {}
-    for k in cfg.ks:
-        results, _ = _elections(cfg, f"scatter/k={k}/{cfg.dist_spec}", d, k, tuple(Rule))
+    for k in ks:
+        results, _ = _elections(run, f"scatter/k={k}/{dist}", d, k, tuple(Rule))
         (wp, tie_p), (wr, tie_r) = results[Rule.PLURALITY], results[Rule.IRV]
         tie = tie_p | tie_r
         ext_p = np.abs(wp - 0.5)
@@ -333,18 +320,19 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
         more_extreme = (ext_r > ext_p) & clean
         summaries[f"k{k}"] = {
             "k": k,
-            "trials": cfg.trials,
+            "trials": run.trials,
             "ties": int(tie.sum()),
             "irv_more_moderate": int(more_moderate.sum()),
             "irv_more_extreme": int(more_extreme.sum()),
             "same_winner": int(((wp == wr) & clean).sum()),
         }
-        if cfg.out_dir is not None:
+        if run.out_dir is not None:
             files[f"scatter_k{k}.csv"] = (
                 ["plurality_position", "irv_position", "irv_more_moderate", "tie"],
                 [wp, wr, more_moderate, tie],
             )
-    return _finish(cfg, t0, summaries, files, unread=_SCATTER_UNREAD)
+    config = {"rules": [r.value for r in Rule], "dist": dist, "ks": list(ks)}
+    return _finish(run, t0, config, summaries, files)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +370,15 @@ def _verify_exact_identities():
     return results
 
 
-def _verify_zone_sweep(seed):
-    d = Uniform()
-    rng = chunk_rng(seed, "verify/zone-sweep", 0)
-    pos = tabulate.sample_sorted_positions(d, 6, 20_000, rng)
+def _verify_zone_sweep(seed, d, experiment_id: str, trials: int):
+    """IRV at k = 6 on `trials` profiles from `d` never breaks its closed-form zone."""
+    zone = zones.zone_closed_form(d)
+    rng = chunk_rng(seed, experiment_id, 0)
+    pos = tabulate.sample_sorted_positions(d, 6, trials, rng)
     w, _ = tabulate.winners(Rule.IRV, pos, d)
-    bad = int(np.count_nonzero(zones.zone_closed_form(d).violations(pos, w)))
-    require(bad == 0, f"{bad} winners escaped [1/6, 5/6]")
-    return {"trials": 20_000, "violations": bad}
+    bad = int(np.count_nonzero(zone.violations(pos, w)))
+    require(bad == 0, f"{bad} winners escaped the {zone.zone_kind.value} zone, c = {zone.c:.6g}")
+    return {"trials": trials, "violations": bad}
 
 
 # The oracle samples 200k ballots, so a share is off by about 0.001; a 0.02
@@ -464,14 +453,12 @@ def _verify_small_k():
     return {"plurality": p.winner_position, "irv": r.winner_position}
 
 
-def run_verify(cfg: ExperimentConfig) -> dict:
+def run_verify(seed: int, out_dir: Path | None = None) -> dict:
     """Run the full desk-scale check suite; returns a machine-readable report.
 
-    It reads only `master_seed` and `out_dir`; its manifest records `seed`.
+    Given `out_dir`, it writes the report there with a manifest that records `seed`.
     """
-    _reject_unread(cfg, "run_verify", _VERIFY_UNREAD)
     t0 = time.monotonic()
-    seed = cfg.master_seed
     checks = [
         _check(
             "exact-k3-identities",
@@ -486,7 +473,15 @@ def run_verify(cfg: ExperimentConfig) -> dict:
             "uniform voters, k=6: whenever a candidate lies in [1/6, 5/6] the "
             "IRV winner lies in [1/6, 5/6]",
             seed,
-            lambda: _verify_zone_sweep(seed),
+            lambda: _verify_zone_sweep(seed, Uniform(), "verify/zone-sweep", 20_000),
+        ),
+        _check(
+            "hyper-polarized-zone-sweep",
+            "Beta(0.3, 0.3) voters, k=6: whenever both [0, c] and [1-c, 1] hold a "
+            "candidate (c = 2F^-1(1/3)) the IRV winner lies in one of them",
+            seed,
+            lambda: _verify_zone_sweep(seed, SymmetricBeta(0.3),
+                                       "verify/hyper-polarized-zone-sweep", 5_000),
         ),
         _check(
             "closed-form-zones",
@@ -525,8 +520,8 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         "master_seed": seed,
         "duration_seconds": time.monotonic() - t0,
     }
-    if cfg.out_dir is not None:
-        path = Path(cfg.out_dir) / "verify_report.json"
+    if out_dir is not None:
+        path = Path(out_dir) / "verify_report.json"
         _atomic_write(path, [json.dumps(report, indent=2) + "\n"])
         RunManifest({"seed": seed}, duration_seconds=report["duration_seconds"],
                     summaries={"passed": passed}).write(path)

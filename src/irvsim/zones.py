@@ -10,6 +10,23 @@ i.e. the last moderate candidate, squeezed as hard as possible by extremists
 at c and 1-c, still keeps more than a third of the vote. Closed-form bounds
 exist when the density is monotone on the left half; hyper-polarized
 distributions (F(1/4) > 1/3) flip the zone to the extreme pair [0,c]∪[1-c,1].
+
+The extreme-pair claim is two-sided: with c = 2 F^{-1}(1/3), when both [0, c]
+and [1-c, 1] hold a candidate, the IRV winner lies in one of them.
+
+Proof. F is continuous, so F(c/2) = 1/3. Take a round with m >= 3 active
+candidates of which exactly one, x, lies in [0, c]. It is the leftmost, and
+its right neighbour y exceeds c, so its share is F((x + y)/2) >= F(c/2) = 1/3
+>= 1/m >= the lowest share. If F increases strictly just right of c/2, the
+first inequality is strict and x is not eliminated. If F is flat at 1/3 there
+(a table with zero density), x still survives: for m >= 4 the lowest share is
+at most 1/4, and for m = 3 eliminating x needs all three shares equal to 1/3.
+Then F((x + y)/2) = 1/3 < F(1/4) gives y < 1/2, and the rightmost candidate
+z has 1 - F((y + z)/2) = 1/3, so by symmetry (y + z)/2 > 3/4 and z > 1, which
+is impossible. So [0, c] keeps a candidate into the final two, and by symmetry
+so does [1-c, 1]: the final is between the two sides. With one side empty the
+claim can fail: under Beta(0.3, 0.3) voters, [0.449, 0.822, 0.863, 0.877,
+0.884, 0.956, 0.994, 1.0] elects 0.449.
 """
 
 from __future__ import annotations
@@ -76,11 +93,16 @@ class ExclusionZone:
         return (x <= c) | (x >= 1.0 - c)
 
     def violations(self, sorted_pos: np.ndarray, winners: np.ndarray) -> np.ndarray:
-        """Rows of (trials, k) positions where a candidate is in the zone and the winner is not.
+        """Rows of sorted (trials, k) positions where the claim binds and the winner is outside.
 
-        The zone claim is conditional: it binds only when a candidate occupies the zone.
+        A moderate interval binds when a candidate lies in it; an extreme pair
+        binds only when both [0, c] and [1-c, 1] hold a candidate.
         """
-        return np.any(self.contains_winner(sorted_pos), axis=1) & ~self.contains_winner(winners)
+        if self.zone_kind is ZoneKind.MODERATE_INTERVAL:
+            binds = np.any(self.contains_winner(sorted_pos), axis=1)
+        else:
+            binds = (sorted_pos[:, 0] <= self.c) & (sorted_pos[:, -1] >= 1.0 - self.c)
+        return binds & ~self.contains_winner(winners)
 
     def to_json(self) -> dict:
         return {"c": self.c, "kind": self.zone_kind.value, "regime": self.regime.value}

@@ -23,7 +23,7 @@ from irvsim.exactk3 import (
     order_statistic_win_prob,
     plurality_density_k3,
 )
-from irvsim.experiments import ExperimentConfig, chunk_rng, run_beta_sweep
+from irvsim.experiments import RunSpec, chunk_rng, run_beta_sweep
 from irvsim.tabulate import (
     Profile,
     Rule,
@@ -161,13 +161,7 @@ def test_criterion_7_circle_coupling():
 
 
 def test_criterion_8_beta_sweep_zones():
-    cfg = ExperimentConfig(
-        alphas=(0.3, 0.5, 0.8, 1.0, 2.0, 5.0),
-        ks=(30,),
-        trials=100_000,
-        master_seed=MASTER_SEED,
-    )
-    res = run_beta_sweep(cfg)
+    res = run_beta_sweep((0.3, 0.5, 0.8, 1.0, 2.0, 5.0), 30, run=RunSpec(100_000, MASTER_SEED))
     irv_rows = {k: v for k, v in res["summaries"].items() if v["rule"] == "irv"}
     violations = {k: v["violations"] for k, v in irv_rows.items()}
     hyper = irv_rows["alpha=0.3/irv"]

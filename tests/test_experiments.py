@@ -11,8 +11,8 @@ import irvsim
 from irvsim import cli, experiments
 from irvsim.errors import CheckFailed, DomainError
 from irvsim.experiments import (
-    ExperimentConfig,
     RunManifest,
+    RunSpec,
     chunk_rng,
     run_beta_sweep,
     run_scatter,
@@ -23,13 +23,25 @@ from irvsim.experiments import (
 from irvsim.tabulate import Rule
 
 
+_RUN = RunSpec(10, 0)
+
+
 def test_config_validation():
-    with pytest.raises(DomainError):
-        ExperimentConfig(trials=0)
-    with pytest.raises(DomainError):
-        ExperimentConfig(ks=(0,))
-    with pytest.raises(DomainError):
-        ExperimentConfig(dist_spec="nope")
+    with pytest.raises(DomainError, match="trials must be >= 1"):
+        RunSpec(0, 1)
+    with pytest.raises(DomainError, match="threads must be >= 1"):
+        RunSpec(10, 1, threads=0)
+    assert RunSpec(10, 1) == RunSpec(10, 1, threads=1, out_dir=None)
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        run_winner_histograms([3, 0], rules=tuple(Rule), dist="uniform", run=_RUN)
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        run_scatter([0], dist="uniform", run=_RUN)
+    with pytest.raises(DomainError, match="k must be >= 1"):
+        run_beta_sweep([2.0], 0, run=_RUN)
+    with pytest.raises(DomainError, match="nope"):
+        run_winner_histograms([3], rules=tuple(Rule), dist="nope", run=_RUN)
+    with pytest.raises(DomainError, match="beta:abc"):
+        run_scatter([3], dist="beta:abc", run=_RUN)
 
 
 def test_chunk_rng_deterministic_and_distinct():
@@ -113,8 +125,8 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path, monkeypatch):
 
 
 def test_winner_histograms_smoke(tmp_path):
-    cfg = ExperimentConfig(trials=500, ks=(3,), out_dir=tmp_path, master_seed=9)
-    res = run_winner_histograms(cfg)
+    res = run_winner_histograms([3], rules=tuple(Rule), dist="uniform",
+                                run=RunSpec(500, 9, out_dir=tmp_path))
     for rule in ("plurality", "irv"):
         data = tmp_path / f"winners_{rule}_k3.csv"
         assert data.exists()
@@ -144,8 +156,8 @@ def test_manifest_without_library_versions_still_reads(tmp_path):
 
 
 def test_winner_histograms_single_trial(tmp_path):
-    cfg = ExperimentConfig(trials=1, ks=(3,), rules=(Rule.IRV,), out_dir=tmp_path)
-    run_winner_histograms(cfg)
+    run_winner_histograms([3], rules=(Rule.IRV,), dist="uniform",
+                          run=RunSpec(1, 0, out_dir=tmp_path))
     lines = (tmp_path / "winners_irv_k3.csv").read_text().strip().split("\n")
     assert len(lines) == 2  # header + one row
     assert (tmp_path / "winners_irv_k3.manifest.json").exists()
@@ -154,9 +166,9 @@ def test_winner_histograms_single_trial(tmp_path):
 def test_bitwise_reproducibility_across_threads(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     out1.mkdir(), out2.mkdir()
-    base = dict(trials=9000, ks=(4,), master_seed=123)
-    run_winner_histograms(ExperimentConfig(out_dir=out1, threads=1, **base))
-    run_winner_histograms(ExperimentConfig(out_dir=out2, threads=4, **base))
+    for out, threads in ((out1, 1), (out2, 4)):
+        run_winner_histograms([4], rules=tuple(Rule), dist="uniform",
+                              run=RunSpec(9000, 123, threads, out))
     for rule in ("plurality", "irv"):
         b1 = (out1 / f"winners_{rule}_k4.csv").read_bytes()
         b2 = (out2 / f"winners_{rule}_k4.csv").read_bytes()
@@ -164,10 +176,7 @@ def test_bitwise_reproducibility_across_threads(tmp_path):
 
 
 def test_beta_sweep(tmp_path):
-    cfg = ExperimentConfig(
-        alphas=(0.5, 1.0, 2.0), ks=(30,), trials=2000, out_dir=tmp_path, master_seed=5
-    )
-    res = run_beta_sweep(cfg)
+    res = run_beta_sweep([0.5, 1.0, 2.0], 30, run=RunSpec(2000, 5, out_dir=tmp_path))
     s = res["summaries"]
     assert s["alpha=1/irv"]["bound_c"] == pytest.approx(1 / 6, abs=1e-12)
     assert s["alpha=0.5/irv"]["degenerate_bound"]
@@ -179,60 +188,65 @@ def test_beta_sweep(tmp_path):
 
 def test_beta_sweep_requires_alphas():
     with pytest.raises(DomainError):
-        run_beta_sweep(ExperimentConfig(alphas=()))
-
-
-def test_beta_sweep_rejects_more_than_one_k():
-    with pytest.raises(DomainError, match="one k"):
-        run_beta_sweep(ExperimentConfig(alphas=(2.0,), ks=(5, 40), trials=10))
+        run_beta_sweep([], 5, run=_RUN)
 
 
 def test_beta_sweep_manifest_records_no_dist(tmp_path):
-    # The voters are Beta(alpha, alpha); dist_spec is not read.
-    run_beta_sweep(ExperimentConfig(alphas=(2.0,), ks=(5,), trials=10, out_dir=tmp_path))
+    # The voters are Beta(alpha, alpha); the driver takes no dist.
+    run_beta_sweep([2.0], 5, run=RunSpec(10, 0, out_dir=tmp_path))
     config = RunManifest.read(tmp_path / "beta_sweep.manifest.json").config
     assert "dist" not in config and config["alphas"] == [2.0]
 
 
-# A driver rejects a non-default value in a config field it does not read;
-# run_beta_sweep's voters are Beta(alpha, alpha), so it reads no dist_spec.
+# Each driver takes keyword arguments for exactly what it reads, so passing one
+# that it would ignore is a TypeError at the call.
+_READS = {
+    run_beta_sweep: dict(alphas=[2.0], k=5, run=_RUN),
+    run_winner_histograms: dict(ks=[3], rules=tuple(Rule), dist="uniform", run=_RUN),
+    run_scatter: dict(ks=[3], dist="uniform", run=_RUN),
+    run_verify: dict(seed=0),
+}
+
+
 @pytest.mark.parametrize("driver, fields, named", [
-    (run_beta_sweep, {"alphas": (2.0,), "ks": (5,), "dist_spec": "beta:0.3"}, "dist"),
+    (run_beta_sweep, {"dist": "beta:0.3"}, "dist"),
     (run_winner_histograms, {"alphas": (7.0,)}, "alphas"),
     (run_scatter, {"alphas": (7.0,)}, "alphas"),
     (run_verify, {"trials": 5}, "trials"),
     (run_verify, {"threads": 2}, "threads"),
-    (run_verify, {"dist_spec": "beta:2", "ks": (4,)}, "dist, ks"),
+    (run_verify, {"dist": "beta:2", "ks": (4,)}, "dist, ks"),
+    (run_beta_sweep, {"rules": (Rule.IRV,)}, "rules"),
 ])
 def test_driver_rejects_fields_it_does_not_read(driver, fields, named):
-    with pytest.raises(DomainError, match=f"^{driver.__name__} does not read {named}$"):
-        driver(ExperimentConfig(**fields))
+    for name in named.split(", "):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            driver(**_READS[driver], **{name: fields[name]})
 
 
 def test_beta_sweep_counts_violations_of_a_faulty_tabulator(monkeypatch):
     monkeypatch.setattr(experiments.tabulate, "irv_batch", lambda pos, d: (
         pos[:, 0], np.zeros(pos.shape[0], dtype=bool)
     ))
-    s = run_beta_sweep(ExperimentConfig(alphas=(2.0,), ks=(8,), trials=2000))["summaries"]
+    s = run_beta_sweep([2.0], 8, run=RunSpec(2000, 0))["summaries"]
     assert s["alpha=2/irv"]["violations"] > 0
     assert s["alpha=2/plurality"]["violations"] == 0
 
 
 def test_scatter_rejects_a_single_rule():
-    with pytest.raises(DomainError, match="both rules"):
-        run_scatter(ExperimentConfig(rules=(Rule.IRV,), trials=10))
+    # Scatter always compares both rules; it takes no `rules`.
+    with pytest.raises(TypeError, match="unexpected keyword argument 'rules'"):
+        run_scatter([3], rules=(Rule.IRV,), dist="uniform", run=_RUN)
 
 
 def test_scatter_small_k_never_more_extreme(tmp_path):
-    cfg = ExperimentConfig(ks=(3, 4), trials=20_000, out_dir=tmp_path, master_seed=6)
-    res = run_scatter(cfg)
+    res = run_scatter([3, 4], dist="uniform", run=RunSpec(20_000, 6, out_dir=tmp_path))
     assert res["summaries"]["k3"]["irv_more_extreme"] == 0
     assert res["summaries"]["k4"]["irv_more_extreme"] == 0
     assert (tmp_path / "scatter_k3.csv").exists()
 
 
 def test_verify_suite_passes(tmp_path):
-    report = run_verify(ExperimentConfig(master_seed=0, out_dir=tmp_path))
+    report = run_verify(0, tmp_path)
     assert report["passed"]
     assert all(c["passed"] for c in report["checks"])
     # every check carries a human-readable claim
@@ -246,15 +260,18 @@ def test_verify_suite_passes(tmp_path):
 
 
 def test_verify_detects_injected_fault(monkeypatch):
-    # Corrupt the tabulator: always elect the leftmost candidate. The zone
-    # soundness sweep must notice.
-    monkeypatch.setattr(experiments.tabulate, "irv_batch", lambda pos, d: (
-        pos[:, 0], np.zeros(pos.shape[0], dtype=bool)
-    ))
-    report = run_verify(ExperimentConfig(master_seed=0))
-    names = {c["name"]: c["passed"] for c in report["checks"]}
-    assert not names["uniform-zone-sweep"]
-    assert not report["passed"]
+    # Corrupt the tabulator: always elect the leftmost candidate, then the
+    # second from the left. The zone soundness sweeps must notice. Whenever an
+    # extreme pair binds its left side holds the leftmost candidate, so only
+    # the second fault shows in the hyper-polarized sweep.
+    for column, failing in ((0, {"uniform-zone-sweep"}),
+                            (1, {"uniform-zone-sweep", "hyper-polarized-zone-sweep"})):
+        monkeypatch.setattr(experiments.tabulate, "irv_batch", lambda pos, d, j=column: (
+            pos[:, j], np.zeros(pos.shape[0], dtype=bool)
+        ))
+        report = run_verify(0)
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
+        assert not report["passed"]
 
 
 def test_check_records_any_exception_as_failure():
@@ -341,6 +358,14 @@ def test_cli_usage_error_exit_code():
     (["verify", "--threads", "2"], "--threads"),
     (["gumbel", "--mode", "circle", "--k", "50", "--trials", "10", "--out", "D"], "--out"),
     (["zone", "--dist", "table:empty.csv"], "no rows"),
+    (["simulate", "--trials", "0"], "trials must be >= 1"),
+    (["scatter", "--k", "0"], "k must be >= 1"),
+    (["betasweep", "--alpha", "1", "--k", "0"], "k must be >= 1"),
+    # Two ks or alphas with one summary key would run twice and report once.
+    (["simulate", "--k", "3", "3", "--trials", "10"], "share the summary key 'k3'"),
+    (["scatter", "--k", "4", "3", "4", "--trials", "10"], "share the summary key 'k4'"),
+    (["betasweep", "--alpha", "2", "2.0000001", "--k", "5", "--trials", "10"],
+     "share the summary key 'alpha=2'"),
 ])
 def test_cli_bad_input_exits_1_with_message(argv, named, tmp_path, monkeypatch, capsys,
                                             recwarn):
@@ -420,3 +445,48 @@ def test_cli_betasweep(capsys):
 def test_cli_verify_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "--seed", "0", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "verify_report.json").exists()
+
+
+# The manifest `config` each subcommand writes, pinned to the keys and values
+# that earlier manifests hold; a driver records only the arguments it reads.
+_MANIFEST_CONFIGS = {
+    "simulate": (
+        ["simulate", "--k", "3", "4", "--trials", "20", "--seed", "3", "--rule", "irv",
+         "--dist", "beta:2", "--threads", "2"],
+        "winners_irv_k4.manifest.json",
+        {"rules": ["irv"], "dist": "beta:2", "ks": [3, 4], "trials": 20, "master_seed": 3,
+         "threads": 2},
+    ),
+    "scatter": (
+        ["scatter", "--k", "3", "--trials", "20", "--seed", "3"],
+        "scatter_k3.manifest.json",
+        {"rules": ["plurality", "irv"], "dist": "uniform", "ks": [3], "trials": 20,
+         "master_seed": 3, "threads": 1},
+    ),
+    "betasweep": (
+        ["betasweep", "--alpha", "2", "0.5", "--k", "5", "--trials", "20", "--seed", "3"],
+        "beta_sweep.manifest.json",
+        {"rules": ["plurality", "irv"], "ks": [5], "alphas": [2.0, 0.5], "trials": 20,
+         "master_seed": 3, "threads": 1},
+    ),
+    "density": (
+        ["density", "--rule", "plurality", "--points", "11"],
+        "exact_density_plurality_k3.manifest.json",
+        {"rule": "plurality", "points": 11},
+    ),
+    "gumbel": (
+        ["gumbel", "--mode", "share", "--k", "50", "--trials", "40", "--seed", "3"],
+        "gumbel_share_k50.manifest.json",
+        {"mode": "share", "k": 50, "trials": 40, "seed": 3},
+    ),
+    "verify": (["verify", "--seed", "3"], "verify_report.manifest.json", {"seed": 3}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_CONFIGS))
+def test_cli_manifest_config_is_pinned(command, tmp_path, capsys):
+    argv, name, config = _MANIFEST_CONFIGS[command]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / name).exists()
+    for path in tmp_path.glob("*.manifest.json"):
+        assert RunManifest.read(path).config == config, path.name

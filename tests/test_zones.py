@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from irvsim import tabulate
 from irvsim.dist import SymmetricBeta, Tabulated, Uniform
 from irvsim.errors import DomainError, UnconstructibleError, UnsupportedRegimeError
-from irvsim.tabulate import Profile, irv_winner, plurality_winner, vote_shares
+from irvsim.tabulate import Profile, Rule, irv_winner, plurality_winner, vote_shares
 from irvsim.zones import (
+    ExclusionZone,
     Regime,
     ZoneKind,
     check_condition,
@@ -42,13 +44,72 @@ def test_zone_violations_match_scalar_check(d, kind):
     pos[200:500, 1] = 1.0 - zone.c
     pos = np.sort(pos, axis=1)
     winners = pos[np.arange(len(pos)), rng.integers(0, 4, len(pos))]
-    expected = [
-        any(zone.contains_winner(float(x)) for x in row) and not zone.contains_winner(float(w))
-        for row, w in zip(pos, winners)
-    ]
+
+    def binds(row):
+        # An extreme pair binds only when both of its sides hold a candidate.
+        if kind is ZoneKind.MODERATE_INTERVAL:
+            return any(zone.contains_winner(float(x)) for x in row)
+        return any(x <= zone.c for x in row) and any(x >= 1.0 - zone.c for x in row)
+
+    expected = [binds(row) and not zone.contains_winner(float(w)) for row, w in zip(pos, winners)]
     got = zone.violations(pos, winners)
     assert got.dtype == bool and got.tolist() == expected
     assert 0 < got.sum() < len(got)
+
+
+def _irv_violations(zone, pos, d):
+    pos = np.sort(pos, axis=1)
+    winners, _ = tabulate.winners(Rule.IRV, pos, d)
+    return int(zone.violations(pos, winners).sum())
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.3, 0.45])
+def test_extreme_pair_claim_is_sound_when_both_sides_are_occupied(alpha):
+    d = SymmetricBeta(alpha)
+    zone = zone_closed_form(d)
+    assert zone.zone_kind is ZoneKind.EXTREME_PAIR
+    rng = np.random.default_rng(1)
+    for k in range(3, 13):
+        random_rows = tabulate.sample_sorted_positions(d, k, 3000, rng)
+        # Adversarial rows: the sides held only by candidates exactly on the
+        # zone's edges, the rest spread over [0, 1].
+        pinned = rng.random((3000, k))
+        pinned[:, 0], pinned[:, 1] = zone.c, 1.0 - zone.c
+        assert _irv_violations(zone, random_rows, d) == 0, k
+        assert _irv_violations(zone, pinned, d) == 0, k
+
+
+def test_extreme_pair_claim_holds_where_the_cdf_is_flat_at_one_third():
+    # F is exactly 1/3 on [0.12, 0.2] (zero density there), so both c = 0.24
+    # and c = 0.4 satisfy F(c/2) = 1/3; at c = 0.24 a lone left candidate x
+    # whose neighbour y lies in (c, 0.4 - x) gets exactly 1/3 of the vote.
+    h, g = 1 / 0.33, 1 / 1.74
+    grid = [0, 0.1, 0.12, 0.2, 0.22, 0.78, 0.8, 0.88, 0.9, 1]
+    with pytest.warns(UserWarning, match="interior zeros"):
+        d = Tabulated(grid, [h, h, 0, 0, g, g, 0, 0, h, h])
+    assert d.cdf(0.12) == d.cdf(0.2) == 1 / 3 < d.cdf(0.25)
+    assert zone_closed_form(d).c == pytest.approx(0.4)
+    rng = np.random.default_rng(2)
+    for c in (0.24, 0.4):
+        zone = ExclusionZone(c, ZoneKind.EXTREME_PAIR, Regime.HYPER_POLARIZED)
+        for k in range(3, 9):
+            pos = rng.random((3000, k))
+            pos[:, 0] = rng.uniform(0.0, 0.16, 3000)
+            pos[:, 1] = rng.uniform(c, c + 0.16 - pos[:, 0])
+            pos[:, 2] = rng.uniform(1.0 - c, 1.0, 3000)
+            assert _irv_violations(zone, pos, d) == 0, (c, k)
+
+
+def test_one_sided_extreme_pair_profile_is_not_flagged():
+    # Only [1 - c, 1] is occupied, and IRV elects the candidate outside the pair.
+    d = SymmetricBeta(0.3)
+    zone = zone_closed_form(d)
+    row = [0.449, 0.822, 0.863, 0.877, 0.884, 0.956, 0.994, 1.0]
+    assert irv_winner(Profile(row), d).winner_position == 0.449
+    winners, _ = tabulate.winners(Rule.IRV, np.array([row]), d)
+    assert winners.tolist() == [0.449] and not zone.contains_winner(0.449)
+    assert zone.contains_winner(1.0) and row[0] > zone.c
+    assert not zone.violations(np.array([row]), winners).any()
 
 
 def test_condition_check_uniform():
