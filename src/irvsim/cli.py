@@ -125,12 +125,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    t0 = time.monotonic()
     grid = np.linspace(0.0, 1.0, args.points)
     values = exactk3.density_k3(Rule(args.rule))(grid)
     if args.out is not None:
         path = Path(args.out) / f"exact_density_{args.rule}_k3.csv"
         write_csv(path, ["x", "density"], [grid, values],
-                  RunManifest({"rule": args.rule, "points": args.points}))
+                  RunManifest({"rule": args.rule, "points": args.points},
+                              duration_seconds=time.monotonic() - t0))
         print(str(path))
     else:
         _emit({"x": grid.tolist(), "density": values.tolist()})

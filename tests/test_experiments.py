@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irvsim
 from irvsim import cli, experiments
@@ -97,12 +100,82 @@ def test_write_csv_matches_reference_writer(tmp_path, monkeypatch):
         assert path.read_text() == expected
 
 
+def _written_cells(directory, column):
+    """The cells write_csv writes for one column, as bytes."""
+    path = write_csv(directory / "cells.csv", ["v"], [column], RunManifest({}, libraries={}))
+    return path.read_bytes().split(b"\n")[1:-1]
+
+
+@pytest.fixture(scope="module")
+def cells_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cells")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 1.0, exclude_max=True)), min_size=1,
+                max_size=50))
+def test_write_csv_float_cells_match_format(cells_dir, values):
+    expected = [format(v, ".17g").encode() for v in values]
+    assert _written_cells(cells_dir, np.array(values, dtype=np.float64)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**63 - 1), st.integers(-(2**63), -1)), min_size=1,
+                max_size=50))
+def test_write_csv_int_cells_match_str(cells_dir, values):
+    expected = [str(v).encode() for v in values]
+    assert _written_cells(cells_dir, np.array(values, dtype=np.int64)) == expected
+
+
+def _round_half_floats():
+    """Doubles in [1e-4, 1) whose 17-digit rounding is an exact tie: j / 2**(s + 1) for
+    odd j, where s = 17..20 is the power of ten that scales their decade to 17 digits."""
+    out = []
+    for s in range(17, 21):
+        lo, hi = 10 ** (16 - s), 10 ** (17 - s)
+        for frac in (0.0, 0.3, 0.77, 1.0):
+            j = int((lo + frac * (hi - lo)) * 2 ** (s + 1)) | 1
+            x = j / 2 ** (s + 1)
+            if lo <= x < hi:
+                assert Fraction(x) * 10**s % 1 == Fraction(1, 2)
+                out.append(x)
+    return out
+
+
+def test_write_csv_cells_on_adversarial_values(tmp_path):
+    powers = [10.0**e for e in range(-5, 18)]
+    floats = (
+        powers
+        + [np.nextafter(p, 0.0) for p in powers]
+        + [np.nextafter(p, 2.0 * p) for p in powers]
+        + [j / 2.0**m for m in range(1, 54) for j in (1, 3, 2**m - 1) if j < 2**m]
+        + [1.0 - i * 2.0**-53 for i in range(1, 6)]  # just below 1: the carry to 10**17
+        + _round_half_floats()
+        + [-0.0, 0.0, 5e-324, np.nan, np.inf, -np.inf]
+    )
+    assert len(_round_half_floats()) >= 12
+    column = np.array(floats, dtype=np.float64)
+    assert _written_cells(tmp_path, column) == [format(v, ".17g").encode() for v in floats]
+    ints = [0, 1, 9, 10, 9999, 10000, 99_999_999, 100_000_000, 2**63 - 1, -1, -(2**63)]
+    assert _written_cells(tmp_path, np.array(ints)) == [str(i).encode() for i in ints]
+    unsigned = [0, 10**19, 2**63, 2**64 - 1]
+    assert (_written_cells(tmp_path, np.array(unsigned, dtype=np.uint64))
+            == [str(i).encode() for i in unsigned])
+
+
 def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(CheckFailed):
         write_csv(tmp_path / "bad.csv", ["a", "b"], [np.arange(3), np.arange(2)],
                   RunManifest({}))
     with pytest.raises(CheckFailed):
         write_csv(tmp_path / "bad.csv", ["a", "b"], [np.arange(3)], RunManifest({}))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_rejects_a_nul_byte_in_a_cell(tmp_path):
+    # NUL pads the cells inside the writer, so a NUL of the data would vanish.
+    with pytest.raises(CheckFailed, match="NUL"):
+        write_csv(tmp_path / "nul.csv", ["s"], [np.array(["a", "b\0c"])], RunManifest({}))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -189,6 +262,18 @@ def test_beta_sweep(tmp_path):
 def test_beta_sweep_requires_alphas():
     with pytest.raises(DomainError):
         run_beta_sweep([], 5, run=_RUN)
+
+
+@pytest.mark.parametrize("driver, kwargs, message", [
+    (run_scatter, dict(ks=[], dist="uniform"), "k list must be nonempty"),
+    (run_winner_histograms, dict(ks=[3], rules=(), dist="uniform"),
+     "rule list must be nonempty"),
+    (run_winner_histograms, dict(ks=[3], rules=(Rule.IRV, Rule.IRV), dist="uniform"),
+     "share the summary key 'irv'"),
+])
+def test_driver_rejects_empty_or_repeated_lists(driver, kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        driver(**kwargs, run=_RUN)
 
 
 def test_beta_sweep_manifest_records_no_dist(tmp_path):
@@ -395,6 +480,7 @@ def test_cli_density(tmp_path):
     lines = (tmp_path / "exact_density_irv_k3.csv").read_text().strip().split("\n")
     assert lines[0] == "x,density"
     assert len(lines) == 1002
+    assert RunManifest.read(tmp_path / "exact_density_irv_k3.manifest.json").duration_seconds > 0
 
 
 def test_cli_every_csv_has_a_manifest(tmp_path, capsys):

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from irvsim import cli
+from irvsim import cli, experiments
 
 CASES = {
     "simulate-uniform": ["simulate", "--k", "3", "5", "--trials", "5000", "--seed", "7"],
@@ -91,5 +91,14 @@ def csv_digest(case, threads, work):
 ])
 def test_golden_csv(case, threads, tmp_path, monkeypatch, capsys):
     # The table spec is relative, so the RNG tag does not depend on tmp_path.
+    monkeypatch.chdir(tmp_path)
+    assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["simulate-uniform", "betasweep"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_golden_csv_across_block_seams(case, threads, tmp_path, monkeypatch, capsys):
+    # Every golden CSV fits in one block; an odd block size puts seams inside them.
+    monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", 777)
     monkeypatch.chdir(tmp_path)
     assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
