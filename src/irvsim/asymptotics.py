@@ -58,6 +58,27 @@ def spacings(n: int, trials: int, rng) -> np.ndarray:
     return x
 
 
+# Draws per spacing block: about 1 MB, so a chunk's spacings stay in cache.
+_BLOCK_DRAWS = 1 << 17
+
+
+def _spacing_blocks(n: int, trials: int, rng):
+    """Yield (rows, block): the rows of spacings(n, trials, rng), a block at a time.
+
+    Every block is a view of one buffer of about _BLOCK_DRAWS values (at least
+    one row), so it is valid only until the next one. The buffer fills in C
+    order, drawing what one (trials, n) call draws, and each row is divided
+    by its own sum: the blocks equal spacings(n, trials, rng) bit for bit.
+    """
+    height = max(1, min(trials, _BLOCK_DRAWS // n))
+    buf = np.empty((height, n))
+    for start in range(0, trials, height):
+        block = buf[:min(height, trials - start)]
+        rng.standard_exponential(out=block)
+        block /= block.sum(axis=1, keepdims=True)
+        yield slice(start, start + len(block)), block
+
+
 def gaps_from_uniform(n: int, rng) -> np.ndarray:
     """The n spacings of [0, 1] cut at n - 1 sorted uniform breakpoints."""
     if n < 1:
@@ -117,8 +138,10 @@ def winning_share_experiment(k: int, trials: int, seed: int,
     center = math.log(n) + math.log(math.log(n))
 
     def chunk(_index, chunk_trials, rng):
-        v = _gap_shares(spacings(n, chunk_trials, rng)).max(axis=1)
-        require(np.all(v >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
+        v = np.empty(chunk_trials)
+        for rows, gaps in _spacing_blocks(n, chunk_trials, rng):
+            v[rows] = _gap_shares(gaps).max(axis=1)
+            require(np.all(v[rows] >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
         return 2.0 * n * v - center
 
     stats = np.concatenate(_map_trials(chunk, seed, f"gumbel-share/k={k}", trials, threads, n))
@@ -137,9 +160,11 @@ def max_gap_experiment(n: int, trials: int, seed: int,
     logn = math.log(n)
 
     def chunk(_index, chunk_trials, rng):
-        gaps = spacings(n, chunk_trials, rng)
-        require(np.all(np.abs(gaps.sum(axis=1) - 1.0) < 1e-12), "gaps do not sum to 1")
-        return n * gaps.max(axis=1) - logn
+        top = np.empty(chunk_trials)
+        for rows, gaps in _spacing_blocks(n, chunk_trials, rng):
+            require(np.all(np.abs(gaps.sum(axis=1) - 1.0) < 1e-12), "gaps do not sum to 1")
+            top[rows] = gaps.max(axis=1)
+        return n * top - logn
 
     stats = np.concatenate(_map_trials(chunk, seed, f"max-gap/n={n}", trials, threads, n))
     return GumbelExperimentResult(n, trials, stats, ks_statistic(stats, gumbel_cdf))
@@ -156,19 +181,21 @@ def circle_coupling_experiment(k: int, trials: int, seed: int, threads: int = 1)
         raise DomainError("k must be >= 3")
 
     def chunk(_index, chunk_trials, rng):
-        gaps = spacings(k + 1, chunk_trials, rng)
-        # On the circle the two outer gaps form one wrap arc g_0 + g_k, half
-        # of which goes to each end candidate.
-        circle = gaps[:, :-1] + gaps[:, 1:]
-        circle[:, 0] += gaps[:, -1]
-        circle[:, -1] += gaps[:, 0]
-        circle *= 0.5
-        interval = shares_batch(np.cumsum(gaps[:, :-1], axis=1), Uniform())
-        require(np.all(np.abs(circle.sum(axis=1) - 1.0) < 1e-12),
-                "circle shares do not sum to 1")
-        require(np.all(np.abs(circle[:, 1:-1] - interval[:, 1:-1]) < 1e-12),
-                "circle and interval shares differ away from the cut")
-        return int(np.count_nonzero(circle.argmax(axis=1) != interval.argmax(axis=1)))
+        differ = 0
+        for _rows, gaps in _spacing_blocks(k + 1, chunk_trials, rng):
+            # On the circle the two outer gaps form one wrap arc g_0 + g_k, half
+            # of which goes to each end candidate.
+            circle = gaps[:, :-1] + gaps[:, 1:]
+            circle[:, 0] += gaps[:, -1]
+            circle[:, -1] += gaps[:, 0]
+            circle *= 0.5
+            interval = shares_batch(np.cumsum(gaps[:, :-1], axis=1), Uniform())
+            require(np.all(np.abs(circle.sum(axis=1) - 1.0) < 1e-12),
+                    "circle shares do not sum to 1")
+            require(np.all(np.abs(circle[:, 1:-1] - interval[:, 1:-1]) < 1e-12),
+                    "circle and interval shares differ away from the cut")
+            differ += int(np.count_nonzero(circle.argmax(axis=1) != interval.argmax(axis=1)))
+        return differ
 
     return sum(_map_trials(chunk, seed, f"circle/k={k}", trials, threads, k + 1)) / trials
 

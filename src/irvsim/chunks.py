@@ -19,8 +19,9 @@ __all__ = ["TRIALS_PER_CHUNK", "DRAWS_PER_CHUNK", "chunk_rng", "map_chunks"]
 TRIALS_PER_CHUNK = 4096
 
 # Random draws per chunk for experiments that draw many values per trial, such
-# as the k + 1 spacings of the stick-breaking experiments; their streams depend
-# on it. A chunk's array is 8 MB: larger chunks were no faster at k = 1e5.
+# as the k + 1 spacings of the stick-breaking experiments. It fixes their
+# streams, and nothing else does: the kernels walk a chunk in blocks of about
+# 1 MB that draw the same values.
 DRAWS_PER_CHUNK = 1_000_000
 
 

@@ -11,6 +11,7 @@ safe to share across threads; RNG state is always owned by the caller.
 from __future__ import annotations
 
 import enum
+import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -85,7 +86,7 @@ class VoterDistribution:
         return float(self.cdf(0.25)) > 1.0 / 3.0
 
     def spec(self) -> str:
-        """CLI-style spec string identifying this distribution."""
+        """CLI-style string naming this distribution by its parameters; experiment ids use it."""
         raise NotImplementedError
 
 
@@ -178,7 +179,7 @@ class SymmetricBeta(VoterDistribution):
         return ShapeClass(Monotonicity.NON_INCREASING_LEFT, hyper_polarized=hyper)
 
     def spec(self) -> str:
-        return f"beta:{self.alpha:g}"
+        return f"beta:{self.alpha!r}"  # repr: {:g} would merge alphas equal to 6 digits
 
 
 class Tabulated(VoterDistribution):
@@ -298,7 +299,9 @@ class Tabulated(VoterDistribution):
         return ShapeClass(Monotonicity.NEITHER, hyper_polarized=hyper)
 
     def spec(self) -> str:
-        return f"table:<{self._grid.size} points>"
+        # A digest of the table, so that its path does not matter.
+        h = hashlib.sha256(self._grid.astype("<f8").tobytes() + self._dens.astype("<f8").tobytes())
+        return f"table:sha256:{h.hexdigest()[:16]}"
 
 
 def parse_dist_spec(spec: str) -> VoterDistribution:

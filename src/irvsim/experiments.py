@@ -306,7 +306,9 @@ def _elections(run: RunSpec, experiment_id: str, d, k: int, rules, zone=None):
 
     def one(chunk_index, chunk_trials, rng):
         pos = tabulate.sample_sorted_positions(d, k, chunk_trials, rng)
-        out = {rule: tabulate.winners(rule, pos, d) for rule in rules}
+        # The rules share their first-round cuts; evaluate F there once.
+        mid_cdf = tabulate.midpoint_cdf(pos, d) if len(rules) > 1 else None
+        out = {rule: tabulate.winners(rule, pos, d, mid_cdf) for rule in rules}
         return out, zone.violations(pos, out[Rule.IRV][0]) if check else None
 
     parts = _map_chunks(one, run.seed, experiment_id, run.trials, run.threads)
@@ -329,7 +331,7 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
     uniform = isinstance(d, Uniform)
     for rule in rules:
         for k in ks:
-            exp_id = f"winners/{rule.value}/k={k}/{dist}"
+            exp_id = f"winners/{rule.value}/k={k}/{d.spec()}"
             winners, ties = _elections(run, exp_id, d, k, (rule,))[0][rule]
             entry = {
                 "rule": rule.value,
@@ -423,7 +425,7 @@ def run_scatter(ks, *, dist: str, run: RunSpec) -> dict:
     summaries = {}
     files = {}
     for k in ks:
-        results, _ = _elections(run, f"scatter/k={k}/{dist}", d, k, tuple(Rule))
+        results, _ = _elections(run, f"scatter/k={k}/{d.spec()}", d, k, tuple(Rule))
         (wp, tie_p), (wr, tie_r) = results[Rule.PLURALITY], results[Rule.IRV]
         tie = tie_p | tie_r
         ext_p = np.abs(wp - 0.5)

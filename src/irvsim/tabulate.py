@@ -31,6 +31,7 @@ __all__ = [
     "sample_ballots",
     "irv_discrete",
     "sample_sorted_positions",
+    "midpoint_cdf",
     "shares_batch",
     "plurality_batch",
     "irv_batch",
@@ -269,23 +270,26 @@ def sample_sorted_positions(d: VoterDistribution, k: int, trials: int, rng) -> n
     return np.sort(d.sample(rng, (trials, k)), axis=1)
 
 
-def shares_batch(sorted_pos: np.ndarray, d: VoterDistribution) -> np.ndarray:
-    """Row-wise vote shares for a (trials, k) array of sorted positions."""
+def midpoint_cdf(sorted_pos: np.ndarray, d: VoterDistribution) -> np.ndarray:
+    """(trials, k - 1) F at adjacent sorted positions' midpoints: both rules' first-round cuts."""
+    return np.asarray(d.cdf(0.5 * (sorted_pos[:, :-1] + sorted_pos[:, 1:])))
+
+
+def shares_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None) -> np.ndarray:
+    """Row-wise vote shares for a (trials, k) array of sorted positions and its midpoint_cdf."""
     n, k = sorted_pos.shape
     if k == 1:
         return np.ones((n, 1))
-    mids = 0.5 * (sorted_pos[:, :-1] + sorted_pos[:, 1:])
-    f = np.asarray(d.cdf(mids.ravel())).reshape(n, k - 1)
     cuts = np.empty((n, k + 1))
     cuts[:, 0] = 0.0
-    cuts[:, 1:-1] = f
+    cuts[:, 1:-1] = midpoint_cdf(sorted_pos, d) if mid_cdf is None else mid_cdf
     cuts[:, -1] = 1.0
     return np.diff(cuts, axis=1)
 
 
-def plurality_batch(sorted_pos: np.ndarray, d: VoterDistribution):
+def plurality_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
     """Winner positions, winner columns, and tie flags for each row."""
-    shares = shares_batch(sorted_pos, d)
+    shares = shares_batch(sorted_pos, d, mid_cdf)
     top = shares.max(axis=1)
     tie = (shares == top[:, None]).sum(axis=1) > 1
     # Rightmost among exact ties, matching the leftmost-elimination policy.
@@ -294,7 +298,7 @@ def plurality_batch(sorted_pos: np.ndarray, d: VoterDistribution):
     return sorted_pos[rows, j], j, tie
 
 
-def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution):
+def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
     """IRV winner positions and tie flags for each row of sorted positions.
 
     Neighbour-linked elimination: each row keeps the cuts 0, F(midpoint of
@@ -306,7 +310,8 @@ def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution):
     identical to recomputing every share each round.
 
     The loser is the leftmost candidate at the minimal share; a row's tie
-    flag is set when any round's minimum is shared exactly.
+    flag is set when any round's minimum is shared exactly. `mid_cdf` is
+    midpoint_cdf(sorted_pos, d), the first round's cuts, computed when not given.
     """
     pos = np.asarray(sorted_pos, dtype=float)
     n, k = pos.shape
@@ -319,10 +324,11 @@ def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution):
     cuts = np.empty((k + 1, n))
     cuts[0] = 0.0
     cuts[-1] = 1.0
-    cuts[1:-1] = d.cdf(0.5 * (pos[:-1] + pos[1:]))
+    cuts[1:-1] = (midpoint_cdf(pos.T, d) if mid_cdf is None else mid_cdf).T
     for m in range(k, 1, -1):
         shares = np.diff(cuts, axis=0)
         at_low = shares == shares.min(axis=0)
+        del shares  # freed before the compaction below allocates its arrays
         tie |= np.count_nonzero(at_low, axis=0) > 1
         j = np.argmax(at_low, axis=0)  # first minimum: eliminate leftmost
         if m == 2:
@@ -338,9 +344,9 @@ def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution):
             cuts[ji, inner] = d.cdf(0.5 * (pos[ji - 1, inner] + pos[ji, inner]))
 
 
-def winners(rule: Rule, sorted_pos: np.ndarray, d: VoterDistribution):
-    """Winner positions and exact-tie flags for each row under `rule`."""
+def winners(rule: Rule, sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
+    """Winner positions and exact-tie flags for each row under `rule`; see midpoint_cdf."""
     if rule is Rule.PLURALITY:
-        w, _, tie = plurality_batch(sorted_pos, d)
+        w, _, tie = plurality_batch(sorted_pos, d, mid_cdf=mid_cdf)
         return w, tie
-    return irv_batch(sorted_pos, d)
+    return irv_batch(sorted_pos, d, mid_cdf=mid_cdf)

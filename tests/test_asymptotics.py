@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from irvsim import asymptotics, tabulate
 from irvsim.asymptotics import (
     _gap_shares,
+    _spacing_blocks,
     circle_coupling_experiment,
     gaps_from_uniform,
     gumbel_cdf,
@@ -53,6 +56,77 @@ def test_stick_breaking_constructions_agree_in_distribution():
     fa = np.searchsorted(np.sort(a), pooled, side="right") / a.size
     fb = np.searchsorted(np.sort(b), pooled, side="right") / b.size
     assert np.max(np.abs(fa - fb)) < 0.15
+
+
+@pytest.mark.parametrize("n", [2, 201, 1001, 2 ** 17 + 5])
+@pytest.mark.parametrize("blocks", ["one-row", "ragged", "whole"])
+def test_spacing_blocks_stream_the_one_shot_spacings(n, blocks):
+    # One row; several blocks with a shorter last one; several full blocks.
+    height = max(1, asymptotics._BLOCK_DRAWS // n)
+    trials = {"one-row": 1, "ragged": 3 * height + 1, "whole": 3 * height}[blocks]
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    parts = [(rows, block.copy()) for rows, block in _spacing_blocks(n, trials, rng)]
+    assert all(len(block) <= height for _, block in parts)
+    assert [rows.start for rows, _ in parts] == list(range(0, trials, height))
+    assert parts[-1][0].stop == trials
+    np.testing.assert_array_equal(np.concatenate([block for _, block in parts]),
+                                  spacings(n, trials, ref_rng))
+    assert rng.random() == ref_rng.random()  # the blocks drew exactly the same values
+
+
+def _chunk_rngs(monkeypatch):
+    """Copies of the (trials, rng) that each chunk of the next experiment receives."""
+    chunks = []
+    map_chunks = asymptotics.map_chunks
+
+    def keep(fn, *args, **kwargs):
+        def chunk(index, chunk_trials, rng):
+            chunks.append((chunk_trials, copy.deepcopy(rng)))
+            return fn(index, chunk_trials, rng)
+        return map_chunks(chunk, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "map_chunks", keep)
+    return chunks
+
+
+@pytest.mark.parametrize("block_draws", [1 << 17, 3000, 1])
+def test_kernels_match_one_shot_spacings(block_draws, monkeypatch):
+    # n = 1001 gives chunks of 999 trials, which no block height here divides.
+    monkeypatch.setattr(asymptotics, "_BLOCK_DRAWS", block_draws)
+    n, trials = 1001, 2000
+    chunks = _chunk_rngs(monkeypatch)
+    share = winning_share_experiment(n - 1, trials, 3).statistics
+    center = math.log(n) + math.log(math.log(n))
+    ref = [2.0 * n * _gap_shares(spacings(n, t, rng)).max(axis=1) - center for t, rng in chunks]
+    assert len(chunks) == 3
+    np.testing.assert_array_equal(share, np.concatenate(ref))
+    chunks.clear()
+    top = max_gap_experiment(n, trials, 3).statistics
+    ref = [n * spacings(n, t, rng).max(axis=1) - math.log(n) for t, rng in chunks]
+    np.testing.assert_array_equal(top, np.concatenate(ref))
+
+
+# Rates at seed 5 before the kernels streamed their spacings in blocks.
+@pytest.mark.parametrize("k, trials, differ", [(10, 4000, 1041), (50, 2000, 281),
+                                               (200, 1000, 91)])
+@pytest.mark.parametrize("block_draws", [1 << 17, 1000])
+def test_circle_coupling_rates_are_pinned(k, trials, differ, block_draws, monkeypatch):
+    monkeypatch.setattr(asymptotics, "_BLOCK_DRAWS", block_draws)
+    assert circle_coupling_experiment(k, trials, 5) == differ / trials
+
+
+@pytest.mark.parametrize("run, limit_mb", [
+    (lambda: winning_share_experiment(100_000, 27, 1), 4.0),  # 14.4 MB with whole chunks
+    (lambda: max_gap_experiment(1000, 2000, 1), 2.0),  # 7.7 MB with whole chunks
+], ids=["share", "maxgap"])
+def test_kernels_hold_one_block_at_a_time(run, limit_mb):
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
 
 
 def test_winning_share_experiment_smoke():
@@ -108,7 +182,7 @@ def test_irv_winners_stay_inside_zone():
 def test_uniformity_zone_check_fails_on_a_faulty_tabulator(monkeypatch):
     # Elect the leftmost candidate: with k = 100 it lies below 1/6 in nearly
     # every trial, so the per-trial zone check must raise.
-    monkeypatch.setattr(tabulate, "irv_batch", lambda pos, d: (
+    monkeypatch.setattr(tabulate, "irv_batch", lambda pos, d, mid_cdf=None: (
         pos[:, 0], np.zeros(pos.shape[0], dtype=bool)
     ))
     with pytest.raises(CheckFailed):

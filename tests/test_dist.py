@@ -187,6 +187,16 @@ def test_tabulated_renormalizes():
     assert d.density(0.5) == pytest.approx(1.0)
 
 
+def test_spec_identifies_the_distribution():
+    assert Uniform().spec() == "uniform"
+    assert parse_dist_spec(SymmetricBeta(0.3).spec()) == SymmetricBeta(0.3)
+    assert SymmetricBeta(0.3).spec() != SymmetricBeta(0.3000001).spec()
+    grid = np.linspace(0, 1, 11)
+    flat = Tabulated(grid, np.ones(11)).spec()
+    assert flat == Tabulated(grid.copy(), np.full(11, 1.0)).spec()
+    assert flat != Tabulated(grid, 1.0 + np.abs(grid - 0.5)).spec()
+
+
 def test_parse_dist_spec(tmp_path):
     assert isinstance(parse_dist_spec("uniform"), Uniform)
     b = parse_dist_spec("beta:2.5")

@@ -309,7 +309,7 @@ def test_driver_rejects_fields_it_does_not_read(driver, fields, named):
 
 
 def test_beta_sweep_counts_violations_of_a_faulty_tabulator(monkeypatch):
-    monkeypatch.setattr(experiments.tabulate, "irv_batch", lambda pos, d: (
+    monkeypatch.setattr(experiments.tabulate, "irv_batch", lambda pos, d, mid_cdf=None: (
         pos[:, 0], np.zeros(pos.shape[0], dtype=bool)
     ))
     s = run_beta_sweep([2.0], 8, run=RunSpec(2000, 0))["summaries"]
@@ -351,9 +351,9 @@ def test_verify_detects_injected_fault(monkeypatch):
     # the second fault shows in the hyper-polarized sweep.
     for column, failing in ((0, {"uniform-zone-sweep"}),
                             (1, {"uniform-zone-sweep", "hyper-polarized-zone-sweep"})):
-        monkeypatch.setattr(experiments.tabulate, "irv_batch", lambda pos, d, j=column: (
-            pos[:, j], np.zeros(pos.shape[0], dtype=bool)
-        ))
+        monkeypatch.setattr(experiments.tabulate, "irv_batch",
+                            lambda pos, d, mid_cdf=None, j=column: (
+                                pos[:, j], np.zeros(pos.shape[0], dtype=bool)))
         report = run_verify(0)
         assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
         assert not report["passed"]
@@ -391,7 +391,8 @@ def test_verify_fails_under_python_O():
     code = (
         "import numpy as np\n"
         "from irvsim import cli, tabulate\n"
-        "tabulate.irv_batch = lambda pos, d: (pos[:, 0], np.zeros(pos.shape[0], bool))\n"
+        "tabulate.irv_batch = lambda pos, d, mid_cdf=None: (\n"
+        "    pos[:, 0], np.zeros(pos.shape[0], bool))\n"
         "raise SystemExit(cli.main(['verify', '--seed', '0']))\n"
     )
     proc = _run_python(["-O"], code)

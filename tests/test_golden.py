@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from irvsim import cli, experiments
+from irvsim import asymptotics, cli, experiments
 
 CASES = {
     "simulate-uniform": ["simulate", "--k", "3", "5", "--trials", "5000", "--seed", "7"],
@@ -36,9 +36,10 @@ CASES = {
 
 GOLDEN = {
     "simulate-uniform": "aed6bf831bf54cc81586f6c240cff0b37a8fe12dfdbfd05921cd8677c758d0b2",
-    # Tabulated.quantile inverts the CDF in closed form (a declared value change:
-    # positions within 1 ulp of the old bisection).
-    "simulate-table": "45ed0a0afb45d23b802720f49c2f9283a15a38a8e17b78e926020a9828746889",
+    # Experiment ids name a table by the digest of its grid and density, not by
+    # its path (a declared stream change; it was
+    # 45ed0a0afb45d23b802720f49c2f9283a15a38a8e17b78e926020a9828746889).
+    "simulate-table": "b9ce734c29eff5f9b981e5922324006c4c55290028437254456277c60084816c",
     "scatter": "acb60e4be3d4d5d1d15af7e2a4e81445eb74b73155c392236c6502d4f639954c",
     "density-irv": "c9201d92257deb4d67c8d3f23a7bb1c554dc1883fc85f2e4c64e5bfa78f7c5e7",
     "density-plurality": "645864707eeb3f6ec2b11ff9dd8bea92f2a2860d8d29dad83ad809a787d38969",
@@ -90,7 +91,6 @@ def csv_digest(case, threads, work):
     for threads in ((None,) if CASES[case][0] == "density" else (1, 2))
 ])
 def test_golden_csv(case, threads, tmp_path, monkeypatch, capsys):
-    # The table spec is relative, so the RNG tag does not depend on tmp_path.
     monkeypatch.chdir(tmp_path)
     assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
 
@@ -102,3 +102,26 @@ def test_golden_csv_across_block_seams(case, threads, tmp_path, monkeypatch, cap
     monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", 777)
     monkeypatch.chdir(tmp_path)
     assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["gumbel-share", "gumbel-maxgap", "gumbel-share-chunks"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_golden_gumbel_across_spacing_blocks(case, threads, tmp_path, monkeypatch, capsys):
+    # Blocks of 4 or 5 rows at k = 200 and of one row at k = 1e5 put seams inside every chunk.
+    monkeypatch.setattr(asymptotics, "_BLOCK_DRAWS", 1000)
+    monkeypatch.chdir(tmp_path)
+    assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("command", ["simulate", "scatter"])
+def test_table_streams_do_not_depend_on_its_path(command, tmp_path, monkeypatch, capsys):
+    _write_density(tmp_path / "density.csv")
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for i, path in enumerate(["density.csv", "./density.csv", str(tmp_path / "density.csv")]):
+        out = tmp_path / f"out{i}"
+        argv = [command, "--dist", f"table:{path}", "--k", "4", "--trials", "500",
+                "--seed", "8", "--out", str(out)]
+        assert cli.main(argv) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert written[0] and written[0] == written[1] == written[2]
