@@ -40,15 +40,30 @@ def gumbel_cdf(x):
     return np.exp(-np.exp(-np.asarray(x, dtype=float)))
 
 
+# Rows per KS block: the CDF values and grid comparisons of one block stay in cache.
+_KS_BLOCK = 1 << 14
+
+
 def ks_statistic(samples: np.ndarray, cdf) -> float:
-    """Kolmogorov-Smirnov distance between an empirical sample and a CDF."""
+    """Kolmogorov-Smirnov distance between an empirical sample and an elementwise CDF.
+
+    The CDF and the comparisons with the empirical steps i/n run over the
+    sorted sample in blocks of _KS_BLOCK values, so the only n-length array
+    is the sorted copy; arange(b, e) / n equals (arange(n + 1) / n)[b:e], so
+    the result equals the one-shot computation bit for bit.
+    """
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
         raise DomainError("need at least one sample")
-    f = np.asarray(cdf(s), dtype=float)
-    grid = np.arange(n + 1) / n
-    return float(max(np.max(f - grid[:-1]), np.max(grid[1:] - f)))
+    below = above = -np.inf
+    for b in range(0, n, _KS_BLOCK):
+        e = min(b + _KS_BLOCK, n)
+        f = np.asarray(cdf(s[b:e]), dtype=float)
+        steps = np.arange(b, e + 1) / n
+        below = max(below, np.max(f - steps[:-1]))
+        above = max(above, np.max(steps[1:] - f))
+    return float(max(below, above))
 
 
 def spacings(n: int, trials: int, rng) -> np.ndarray:

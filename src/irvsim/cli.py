@@ -160,7 +160,7 @@ def _cmd_gumbel(args) -> int:
     if args.out is not None:
         path = Path(args.out) / f"gumbel_{args.mode}_k{args.k}.csv"
         config = {"mode": args.mode, "k": args.k, "trials": args.trials, "seed": args.seed}
-        write_csv(path, ["trial", "statistic"], [np.arange(res.statistics.size), res.statistics],
+        write_csv(path, ["trial", "statistic"], [range(res.statistics.size), res.statistics],
                   RunManifest(config, duration_seconds=time.monotonic() - t0,
                               summaries=res.summary()))
     _emit(res.summary())

@@ -205,10 +205,14 @@ _WIN_PROB = {
 }
 
 
-def order_statistic_win_prob(rule: Rule, order_index: int, w: float) -> float:
-    """Pr(candidate at w wins and is the order_index-th leftmost), w in [0, 1/2]."""
+def order_statistic_win_prob(rule: Rule, order_index: int, w):
+    """Pr(candidate at w wins and is the order_index-th leftmost), w in [0, 1/2].
+
+    `w` is a float or an array of floats; the result has its shape.
+    """
     if order_index not in (1, 2, 3):
         raise DomainError("order_index must be 1, 2, or 3")
-    if not (0.0 <= w <= 0.5):
+    w = np.asarray(w, dtype=float)
+    if not np.all((w >= 0.0) & (w <= 0.5)):
         raise DomainError("w must lie in [0, 1/2]")
-    return float(_WIN_PROB[(rule, order_index)](w))
+    return _WIN_PROB[(rule, order_index)](w)

@@ -24,7 +24,7 @@ from . import __version__, asymptotics, exactk3, tabulate, zones
 # perfbench/tracer.py wraps `experiments._map_chunks` and rebinds the wrapper
 # wherever an irvsim module holds the same function object, so this binding
 # also gets the asymptotics chunks traced.
-from .chunks import chunk_rng, map_chunks as _map_chunks
+from .chunks import TRIALS_PER_CHUNK, chunk_rng, map_chunks as _map_chunks
 from .dist import SymmetricBeta, Uniform, parse_dist_spec
 from .errors import DomainError, UnsupportedRegimeError, require
 from .tabulate import Rule
@@ -226,52 +226,111 @@ def _cells(column):
                      [format(v) for v in column.tolist()])
 
 
+def _block(column, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop of a column as an array; a range is made one block at a time."""
+    if isinstance(column, range):
+        rows = column[start:stop]
+        return np.arange(rows.start, rows.stop, rows.step)
+    block = column[start:stop]
+    return block.view(np.int8) if block.dtype.kind == "b" else block
+
+
+def _csv_blocks(columns):
+    """The CSV text of equal-length columns, one block of rows at a time."""
+    n = len(columns[0])
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n)
+        parts = []
+        for c in columns:
+            parts += [_cells(_block(c, start, stop)), np.full((stop - start, 1), ord(","), np.uint8)]
+        parts[-1] = np.full((stop - start, 1), ord("\n"), np.uint8)
+        # translate drops the NUL padding in one pass, faster than a boolean mask.
+        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+class _CsvFiles:
+    """A run's CSV files, each streamed to <name>.tmp as its rows become final,
+    so a driver holds one output's columns at a time.
+
+    `commit(manifest)` renames every tmp file over its name and writes its
+    manifest after it. Leaving the `with` block without a commit, as a
+    raising run does, removes the tmp files, so a failed run leaves no CSV.
+    With no directory, `append` writes nothing. `seconds` is the time spent
+    writing, which duration_seconds leaves out.
+    """
+
+    def __init__(self, out_dir):
+        self.out_dir = None if out_dir is None else Path(out_dir)
+        self.seconds = 0.0
+        self._open = {}  # name -> file object of <name>.tmp
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for name, fh in self._open.items():
+            fh.close()
+            self._tmp(name).unlink(missing_ok=True)
+        self._open.clear()
+
+    def _tmp(self, name: str) -> Path:
+        return self.out_dir / (name + ".tmp")
+
+    def append(self, name: str, header, columns) -> None:
+        """Append equal-length columns, formatted as write_csv says, as rows of
+        `name`, writing `header` first."""
+        if self.out_dir is None:
+            return
+        t0 = time.monotonic()
+        columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
+        lengths = [len(c) for c in columns]
+        require(
+            len(header) == len(columns) and len(set(lengths)) == 1,
+            f"{name}: {len(header)} names for columns of lengths {lengths}",
+        )
+        fh = self._open.get(name)
+        if fh is None:
+            fh = self._open[name] = open(self._tmp(name), "wb")
+            fh.write((",".join(header) + "\n").encode())
+        fh.writelines(_csv_blocks(columns))
+        self.seconds += time.monotonic() - t0
+
+    def commit(self, manifest: RunManifest) -> None:
+        """Rename each tmp file over its name, then write its manifest, in append order."""
+        for name, fh in self._open.items():
+            fh.close()
+            os.replace(self._tmp(name), self.out_dir / name)
+            manifest.write(self.out_dir / name)
+        self._open.clear()
+
+
 def write_csv(path: Path, header, columns, manifest: RunManifest) -> Path:
     """Write equal-length columns as one CSV, atomically, then its manifest.
 
     Float columns (dtype kind "f") get 17 significant digits, bool columns
-    0/1 and every other column format(). Each block of rows is formatted
-    into one NUL-padded byte matrix, a field per column. Returns the CSV path.
+    0/1 and every other column format(); a range column is formatted a block
+    at a time, never built whole. Each block of rows is formatted into one
+    NUL-padded byte matrix, a field per column. This is the drivers'
+    streaming writer used once. Returns the CSV path.
     """
     path = Path(path)
-    columns = [np.asarray(c) for c in columns]
-    lengths = [len(c) for c in columns]
-    require(
-        len(header) == len(columns) and len(set(lengths)) == 1,
-        f"{path.name}: {len(header)} names for columns of lengths {lengths}",
-    )
-    columns = [c.astype(np.int8) if c.dtype.kind == "b" else c for c in columns]
-    n = lengths[0]
-
-    def blocks():
-        yield (",".join(header) + "\n").encode()
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            rows = min(_CSV_BLOCK_ROWS, n - start)
-            parts = []
-            for c in columns:
-                parts += [_cells(c[start:start + rows]), np.full((rows, 1), ord(","), np.uint8)]
-            parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
-            # translate drops the NUL padding in one pass, faster than a boolean mask.
-            yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
-
-    _atomic_write(path, blocks())
-    manifest.write(path)
+    with _CsvFiles(path.parent) as files:
+        files.append(path.name, header, columns)
+        files.commit(manifest)
     return path
 
 
-def _finish(run: RunSpec, t0: float, config: dict, summaries: dict, files: dict,
+def _finish(run: RunSpec, t0: float, config: dict, summaries: dict, files: _CsvFiles,
             notes=()) -> dict:
-    """Build the run's manifest; write each {name: (header, columns)} to run.out_dir with it.
+    """Build the run's manifest and commit the run's streamed `files` with it.
 
-    Drivers collect `files` only when run.out_dir is set, so that a run
-    without output holds no columns. The manifest's config is the driver's
-    own `config` followed by the trial count, seed and threads.
+    The manifest's config is the driver's own `config` followed by the trial
+    count, seed and threads; its duration leaves out the time spent writing.
     """
     config = {**config, "trials": run.trials, "master_seed": run.seed, "threads": run.threads}
-    manifest = RunManifest(config, duration_seconds=time.monotonic() - t0,
+    manifest = RunManifest(config, duration_seconds=time.monotonic() - t0 - files.seconds,
                            summaries=summaries, notes=list(notes))
-    for name, (header, columns) in files.items():
-        write_csv(Path(run.out_dir) / name, header, columns, manifest)
+    files.commit(manifest)
     return {"summaries": summaries, "manifest": manifest}
 
 
@@ -300,21 +359,24 @@ def _elections(run: RunSpec, experiment_id: str, d, k: int, rules, zone=None):
 
     Returns ({rule: (winners, ties)}, violations). `violations` flags the
     trials where the IRV winner breaks `zone`; it is None without a zone or
-    without IRV among `rules`.
+    without IRV among `rules`. Each chunk fills its own rows of the arrays.
     """
     check = zone is not None and Rule.IRV in rules
+    results = {rule: (np.empty(run.trials), np.empty(run.trials, dtype=bool)) for rule in rules}
+    violations = np.empty(run.trials, dtype=bool) if check else None
 
     def one(chunk_index, chunk_trials, rng):
+        rows = slice(chunk_index * TRIALS_PER_CHUNK, chunk_index * TRIALS_PER_CHUNK + chunk_trials)
         pos = tabulate.sample_sorted_positions(d, k, chunk_trials, rng)
         # The rules share their first-round cuts; evaluate F there once.
         mid_cdf = tabulate.midpoint_cdf(pos, d) if len(rules) > 1 else None
-        out = {rule: tabulate.winners(rule, pos, d, mid_cdf) for rule in rules}
-        return out, zone.violations(pos, out[Rule.IRV][0]) if check else None
+        for rule, (winners, ties) in results.items():
+            winners[rows], ties[rows] = tabulate.winners(rule, pos, d, mid_cdf)
+        if check:
+            violations[rows] = zone.violations(pos, results[Rule.IRV][0][rows])
 
-    parts = _map_chunks(one, run.seed, experiment_id, run.trials, run.threads)
-    results = {rule: tuple(np.concatenate([p[0][rule][i] for p in parts]) for i in (0, 1))
-               for rule in rules}
-    return results, np.concatenate([p[1] for p in parts]) if check else None
+    _map_chunks(one, run.seed, experiment_id, run.trials, run.threads)
+    return results, violations
 
 
 def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
@@ -327,34 +389,32 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
     d = parse_dist_spec(dist)
     t0 = time.monotonic()
     summaries = {}
-    files = {}
     uniform = isinstance(d, Uniform)
-    for rule in rules:
-        for k in ks:
-            exp_id = f"winners/{rule.value}/k={k}/{d.spec()}"
-            winners, ties = _elections(run, exp_id, d, k, (rule,))[0][rule]
-            entry = {
-                "rule": rule.value,
-                "k": k,
-                "trials": run.trials,
-                "ties": int(ties.sum()),
-                "mean": float(winners.mean()),
-                "var_about_half": float(np.mean((winners - 0.5) ** 2)),
-            }
-            if k == 3 and uniform:
-                dens = exactk3.density_k3(rule)
-                entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, dens.antiderivative())
-            summaries[f"{rule.value}_k{k}"] = entry
-            if run.out_dir is None:
-                continue
-            files[f"winners_{rule.value}_k{k}.csv"] = (
-                ["trial", "winner_position", "tie"], [np.arange(winners.size), winners, ties]
-            )
-            if k == 3 and uniform:
-                grid = np.linspace(0.0, 1.0, 1001)
-                files[f"exact_density_{rule.value}_k3.csv"] = (["x", "density"], [grid, dens(grid)])
-    config = {"rules": [r.value for r in rules], "dist": dist, "ks": list(ks)}
-    return _finish(run, t0, config, summaries, files)
+    with _CsvFiles(run.out_dir) as files:
+        for rule in rules:
+            for k in ks:
+                exp_id = f"winners/{rule.value}/k={k}/{d.spec()}"
+                winners, ties = _elections(run, exp_id, d, k, (rule,))[0][rule]
+                entry = {
+                    "rule": rule.value,
+                    "k": k,
+                    "trials": run.trials,
+                    "ties": int(ties.sum()),
+                    "mean": float(winners.mean()),
+                    "var_about_half": float(np.mean((winners - 0.5) ** 2)),
+                }
+                if k == 3 and uniform:
+                    dens = exactk3.density_k3(rule)
+                    entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, dens.antiderivative())
+                summaries[f"{rule.value}_k{k}"] = entry
+                files.append(f"winners_{rule.value}_k{k}.csv", ["trial", "winner_position", "tie"],
+                             [range(run.trials), winners, ties])
+                if k == 3 and uniform:
+                    grid = np.linspace(0.0, 1.0, 1001)
+                    files.append(f"exact_density_{rule.value}_k3.csv", ["x", "density"],
+                                 [grid, dens(grid)])
+        config = {"rules": [r.value for r in rules], "dist": dist, "ks": list(ks)}
+        return _finish(run, t0, config, summaries, files)
 
 
 def _zone_for_alpha(alpha: float):
@@ -379,42 +439,38 @@ def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
     t0 = time.monotonic()
     rules = tuple(Rule)
     summaries = {}
-    held = []  # (alpha, rule, winners, violations), kept only for the CSV
-    for alpha in alphas:
-        d, zone = _zone_for_alpha(alpha)
-        exp_id = f"betasweep/alpha={alpha:g}/k={k}"
-        results, irv_viol = _elections(run, exp_id, d, k, rules, zone)
-        no_viol = np.zeros(run.trials, dtype=bool)
-        for rule in rules:
-            winners, _ = results[rule]
-            viol = irv_viol if rule is Rule.IRV and irv_viol is not None else no_viol
-            if run.out_dir is not None:
-                held.append((alpha, rule.value, winners, viol))
-            entry = {
-                "alpha": alpha,
-                "rule": rule.value,
-                "k": k,
-                "trials": run.trials,
-                "bound_c": None if zone is None else zone.c,
-                "bound_kind": None if zone is None else zone.zone_kind.value,
-                # Degenerate when the bound carries no information: a zero-width
-                # moderate interval, or an extreme pair covering everything.
-                "degenerate_bound": bool(
-                    zone is not None and (zone.c <= 0.0 or zone.c >= 0.5 - 1e-9)
-                ),
-                "violations": int(viol.sum()),
-            }
-            summaries[f"alpha={alpha:g}/{rule.value}"] = entry
-    files = {}
-    if held:
-        held_alphas, held_rules, winners, violations = zip(*held)
-        columns = [np.repeat(held_alphas, run.trials), np.repeat(held_rules, run.trials),
-                   np.concatenate(winners), np.concatenate(violations)]
-        files["beta_sweep.csv"] = (["alpha", "rule", "winner_position", "violation"], columns)
-    notes = ["figure-reproduction default is k=30; a k=20 variant appears in some "
-             "descriptions of the same sweep"]
-    config = {"rules": [r.value for r in rules], "ks": [k], "alphas": list(alphas)}
-    return _finish(run, t0, config, summaries, files, notes)
+    no_viol = np.broadcast_to(False, run.trials)
+    with _CsvFiles(run.out_dir) as files:
+        for alpha in alphas:
+            d, zone = _zone_for_alpha(alpha)
+            exp_id = f"betasweep/alpha={alpha:g}/k={k}"
+            results, irv_viol = _elections(run, exp_id, d, k, rules, zone)
+            for rule in rules:
+                winners, _ = results[rule]
+                viol = irv_viol if rule is Rule.IRV and irv_viol is not None else no_viol
+                # The alpha and rule columns are constant: read-only broadcasts, not copies.
+                files.append("beta_sweep.csv", ["alpha", "rule", "winner_position", "violation"],
+                             [np.broadcast_to(float(alpha), run.trials),
+                              np.broadcast_to(np.array(rule.value), run.trials), winners, viol])
+                entry = {
+                    "alpha": alpha,
+                    "rule": rule.value,
+                    "k": k,
+                    "trials": run.trials,
+                    "bound_c": None if zone is None else zone.c,
+                    "bound_kind": None if zone is None else zone.zone_kind.value,
+                    # Degenerate when the bound carries no information: a zero-width
+                    # moderate interval, or an extreme pair covering everything.
+                    "degenerate_bound": bool(
+                        zone is not None and (zone.c <= 0.0 or zone.c >= 0.5 - 1e-9)
+                    ),
+                    "violations": int(viol.sum()),
+                }
+                summaries[f"alpha={alpha:g}/{rule.value}"] = entry
+        notes = ["figure-reproduction default is k=30; a k=20 variant appears in some "
+                 "descriptions of the same sweep"]
+        config = {"rules": [r.value for r in rules], "ks": [k], "alphas": list(alphas)}
+        return _finish(run, t0, config, summaries, files, notes)
 
 
 def run_scatter(ks, *, dist: str, run: RunSpec) -> dict:
@@ -423,31 +479,29 @@ def run_scatter(ks, *, dist: str, run: RunSpec) -> dict:
     d = parse_dist_spec(dist)
     t0 = time.monotonic()
     summaries = {}
-    files = {}
-    for k in ks:
-        results, _ = _elections(run, f"scatter/k={k}/{d.spec()}", d, k, tuple(Rule))
-        (wp, tie_p), (wr, tie_r) = results[Rule.PLURALITY], results[Rule.IRV]
-        tie = tie_p | tie_r
-        ext_p = np.abs(wp - 0.5)
-        ext_r = np.abs(wr - 0.5)
-        clean = ~tie
-        more_moderate = (ext_r < ext_p) & clean
-        more_extreme = (ext_r > ext_p) & clean
-        summaries[f"k{k}"] = {
-            "k": k,
-            "trials": run.trials,
-            "ties": int(tie.sum()),
-            "irv_more_moderate": int(more_moderate.sum()),
-            "irv_more_extreme": int(more_extreme.sum()),
-            "same_winner": int(((wp == wr) & clean).sum()),
-        }
-        if run.out_dir is not None:
-            files[f"scatter_k{k}.csv"] = (
-                ["plurality_position", "irv_position", "irv_more_moderate", "tie"],
-                [wp, wr, more_moderate, tie],
-            )
-    config = {"rules": [r.value for r in Rule], "dist": dist, "ks": list(ks)}
-    return _finish(run, t0, config, summaries, files)
+    with _CsvFiles(run.out_dir) as files:
+        for k in ks:
+            results, _ = _elections(run, f"scatter/k={k}/{d.spec()}", d, k, tuple(Rule))
+            (wp, tie_p), (wr, tie_r) = results[Rule.PLURALITY], results[Rule.IRV]
+            tie = tie_p | tie_r
+            ext_p = np.abs(wp - 0.5)
+            ext_r = np.abs(wr - 0.5)
+            clean = ~tie
+            more_moderate = (ext_r < ext_p) & clean
+            more_extreme = (ext_r > ext_p) & clean
+            summaries[f"k{k}"] = {
+                "k": k,
+                "trials": run.trials,
+                "ties": int(tie.sum()),
+                "irv_more_moderate": int(more_moderate.sum()),
+                "irv_more_extreme": int(more_extreme.sum()),
+                "same_winner": int(((wp == wr) & clean).sum()),
+            }
+            files.append(f"scatter_k{k}.csv",
+                         ["plurality_position", "irv_position", "irv_more_moderate", "tie"],
+                         [wp, wr, more_moderate, tie])
+        config = {"rules": [r.value for r in Rule], "dist": dist, "ks": list(ks)}
+        return _finish(run, t0, config, summaries, files)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +529,7 @@ def _verify_exact_identities():
         require((got.numerator, got.denominator) == var, f"{label} variance {got}")
         jumps = dens.breakpoint_jumps()
         require(max(abs(j) for j in jumps) <= 1e-12, f"{label} discontinuity {jumps}")
-        total = sum(
-            np.array([exactk3.order_statistic_win_prob(rule, i, x) for x in w])
-            for i in (1, 2, 3)
-        )
+        total = sum(exactk3.order_statistic_win_prob(rule, i, w) for i in (1, 2, 3))
         err = float(np.max(np.abs(3.0 * total - dens(w))))
         require(err <= 1e-12, f"{label} order-statistic sum mismatch {err}")
         results[label] = {"variance": f"{var[0]}/{var[1]}"}

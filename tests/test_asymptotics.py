@@ -20,6 +20,7 @@ from irvsim.asymptotics import (
 )
 from irvsim.dist import Uniform
 from irvsim.errors import CheckFailed, DomainError
+from irvsim.exactk3 import density_k3
 from irvsim.tabulate import Rule, shares_batch
 
 
@@ -34,6 +35,31 @@ def test_ks_statistic_perfect_fit():
     s = np.linspace(0.0005, 0.9995, 1000)
     assert ks_statistic(s, lambda x: x) < 1e-3
     assert ks_statistic(np.zeros(10), lambda x: np.full_like(x, 0.5)) == 0.5
+
+
+def _ks_one_shot(samples, cdf):
+    """The unblocked KS computation, kept as the reference for the blocked one."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    n = s.size
+    f = np.asarray(cdf(s), dtype=float)
+    grid = np.arange(n + 1) / n
+    return float(max(np.max(f - grid[:-1]), np.max(grid[1:] - f)))
+
+
+_B = asymptotics._KS_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 3 * _B + 5])
+def test_blocked_ks_equals_one_shot(n):
+    rng = np.random.default_rng(n)
+    cases = [
+        (rng.random(n), lambda x: x),
+        (rng.gumbel(size=n), gumbel_cdf),
+        (rng.random(n), density_k3(Rule.PLURALITY).antiderivative()),
+        (rng.random(n), density_k3(Rule.IRV).antiderivative()),
+    ]
+    for samples, cdf in cases:
+        assert ks_statistic(samples, cdf) == _ks_one_shot(samples, cdf)
 
 
 def test_stick_breaking_invariants():

@@ -115,6 +115,19 @@ def test_order_statistic_win_prob_domain():
         order_statistic_win_prob(Rule.IRV, 4, 0.2)
     with pytest.raises(DomainError):
         order_statistic_win_prob(Rule.IRV, 1, 0.7)
+    for bad in (0.7, -0.1, np.nan):
+        with pytest.raises(DomainError):
+            order_statistic_win_prob(Rule.IRV, 1, np.array([0.1, bad, 0.2]))
+
+
+def test_order_statistic_win_prob_on_an_array_equals_scalar_calls():
+    w = np.linspace(0.0, 0.5, 200)
+    for rule in Rule:
+        for i in (1, 2, 3):
+            got = order_statistic_win_prob(rule, i, w)
+            assert got.shape == w.shape
+            assert np.array_equal(got, [order_statistic_win_prob(rule, i, x) for x in w])
+    assert isinstance(order_statistic_win_prob(Rule.IRV, 2, 0.3), float)
 
 
 def test_rightmost_candidate_share_is_w_squared():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irvsim
-from irvsim import cli, experiments
+from irvsim import cli, experiments, tabulate, zones
+from irvsim.dist import Uniform
 from irvsim.errors import CheckFailed, DomainError
 from irvsim.experiments import (
     RunManifest,
@@ -208,6 +210,59 @@ def test_winner_histograms_smoke(tmp_path):
         assert m.config["trials"] == 500 and "alphas" not in m.config
         assert (tmp_path / f"exact_density_{rule}_k3.csv").exists()
     assert res["summaries"]["irv_k3"]["ks_vs_exact"] < 0.1
+
+
+def test_failed_run_writes_nothing(tmp_path, monkeypatch):
+    winners = tabulate.winners
+    streamed = []
+
+    def fail_on_irv(rule, *args):
+        if rule is Rule.IRV:  # the second rule: the first one's files are written
+            streamed.extend(sorted(p.name for p in tmp_path.iterdir()))
+            raise RuntimeError("tabulation failed")
+        return winners(rule, *args)
+
+    monkeypatch.setattr(tabulate, "winners", fail_on_irv)
+    with pytest.raises(RuntimeError, match="tabulation failed"):
+        run_winner_histograms([3], rules=tuple(Rule), dist="uniform",
+                              run=RunSpec(5000, 1, out_dir=tmp_path))
+    assert streamed == ["exact_density_plurality_k3.csv.tmp", "winners_plurality_k3.csv.tmp"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_drivers_hold_one_output_at_a_time(tmp_path):
+    # Holding all four outputs' columns until the end peaked at about 5.3 MB;
+    # one output's columns at 40,000 trials are about 0.7 MB (winners, ties and
+    # the KS sort), next to about 2 MB of formatting temporaries per CSV block.
+    run = RunSpec(40_000, 0, out_dir=tmp_path)
+    # A small run first, so that cached tables are not counted.
+    run_winner_histograms([3], rules=(Rule.IRV,), dist="uniform", run=RunSpec(10, 0))
+    tracemalloc.start()
+    try:
+        run_winner_histograms([3, 4], rules=tuple(Rule), dist="uniform", run=run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def test_chunks_fill_their_own_rows_under_thread_contention():
+    # 20 chunks on 8 threads, switching often: a chunk writing outside its own
+    # rows, or a lost write, changes the arrays.
+    d = Uniform()
+    zone = zones.zone_closed_form(d)
+    expected = experiments._elections(RunSpec(20 * 4096 + 17, 4), "stress", d, 5, tuple(Rule), zone)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = experiments._elections(RunSpec(20 * 4096 + 17, 4, threads=8), "stress", d, 5,
+                                     tuple(Rule), zone)
+    finally:
+        sys.setswitchinterval(interval)
+    for rule in Rule:
+        for want, have in zip(expected[0][rule], got[0][rule]):
+            assert np.array_equal(want, have)
+    assert np.array_equal(expected[1], got[1])
 
 
 def test_manifest_records_library_versions(tmp_path):
