@@ -35,7 +35,6 @@ from .errors import (
     InvalidProfileError,
     IrvsimError,
     NoZoneError,
-    TieError,
     UnconstructibleError,
     UnsupportedRegimeError,
 )
@@ -59,7 +58,6 @@ from .tabulate import (
     Profile,
     Rule,
     TabulationOutcome,
-    TieRule,
     irv_discrete,
     irv_winner,
     plurality_winner,

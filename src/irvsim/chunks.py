@@ -12,6 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["TRIALS_PER_CHUNK", "DRAWS_PER_CHUNK", "chunk_rng", "map_chunks"]
 
 # Trials per chunk for the experiment drivers. Their streams depend on this
@@ -27,6 +29,8 @@ DRAWS_PER_CHUNK = 1_000_000
 
 def chunk_rng(master_seed: int, experiment_id: str, chunk_index: int):
     """Deterministic per-chunk generator, stable across worker counts."""
+    if master_seed < 0:
+        raise DomainError(f"the master seed must be >= 0, got {master_seed}")
     tag = int.from_bytes(hashlib.sha256(experiment_id.encode()).digest()[:8], "big")
     return np.random.default_rng(
         np.random.SeedSequence([master_seed, tag, chunk_index])

@@ -48,7 +48,7 @@ def _int_at_least(lo: int):
 
 
 _COMMON = {
-    "--seed": dict(type=int, default=0, help="master seed"),
+    "--seed": dict(type=_int_at_least(0), default=0, help="master seed"),
     "--threads": dict(type=_int_at_least(1), default=1, help="results do not depend on it"),
     "--out": dict(type=Path, default=None, help="output directory"),
 }

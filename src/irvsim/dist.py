@@ -47,9 +47,6 @@ class ShapeClass:
 
     label: Monotonicity
     hyper_polarized: bool
-    # Set when the density is constant, so both monotone labels apply
-    # (the label then reports NON_DECREASING_LEFT).
-    also_nonincreasing: bool = False
 
 
 def _check_unit_interval(x, name):
@@ -105,11 +102,7 @@ class Uniform(VoterDistribution):
         return p if p.ndim else float(p)
 
     def classify_shape(self) -> ShapeClass:
-        return ShapeClass(
-            Monotonicity.NON_DECREASING_LEFT,
-            hyper_polarized=False,
-            also_nonincreasing=True,
-        )
+        return ShapeClass(Monotonicity.NON_DECREASING_LEFT, hyper_polarized=False)
 
     def spec(self) -> str:
         return "uniform"
@@ -124,8 +117,8 @@ class SymmetricBeta(VoterDistribution):
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise DomainError("alpha must be positive")
+        if not (0 < self.alpha < np.inf):
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
 
     def density(self, x):
         x = _check_unit_interval(x, "x")
@@ -168,13 +161,7 @@ class SymmetricBeta(VoterDistribution):
 
     def classify_shape(self) -> ShapeClass:
         hyper = self._is_hyper_polarized()
-        if self.alpha == 1.0:
-            return ShapeClass(
-                Monotonicity.NON_DECREASING_LEFT,
-                hyper_polarized=hyper,
-                also_nonincreasing=True,
-            )
-        if self.alpha > 1.0:
+        if self.alpha >= 1.0:
             return ShapeClass(Monotonicity.NON_DECREASING_LEFT, hyper_polarized=hyper)
         return ShapeClass(Monotonicity.NON_INCREASING_LEFT, hyper_polarized=hyper)
 
@@ -238,14 +225,6 @@ class Tabulated(VoterDistribution):
         for arr in (self._grid, self._dens, self._cum):
             arr.setflags(write=False)
 
-    @property
-    def grid(self):
-        return self._grid
-
-    @property
-    def densities(self):
-        return self._dens
-
     def density(self, x):
         x = _check_unit_interval(x, "x")
         d = np.interp(x, self._grid, self._dens)
@@ -289,11 +268,7 @@ class Tabulated(VoterDistribution):
         noninc = bool(np.all(slopes <= _SLOPE_TOL)) if slopes.size else True
         hyper = self._is_hyper_polarized()
         if nondec:
-            return ShapeClass(
-                Monotonicity.NON_DECREASING_LEFT,
-                hyper_polarized=hyper,
-                also_nonincreasing=noninc,
-            )
+            return ShapeClass(Monotonicity.NON_DECREASING_LEFT, hyper_polarized=hyper)
         if noninc:
             return ShapeClass(Monotonicity.NON_INCREASING_LEFT, hyper_polarized=hyper)
         return ShapeClass(Monotonicity.NEITHER, hyper_polarized=hyper)

@@ -13,17 +13,6 @@ class InvalidProfileError(IrvsimError, ValueError):
     """Candidate positions were duplicated or out of [0, 1]."""
 
 
-class TieError(IrvsimError):
-    """A tie occurred under the Error tie policy."""
-
-    def __init__(self, round_index, tied_indices):
-        self.round_index = round_index
-        self.tied_indices = tuple(tied_indices)
-        super().__init__(
-            f"tie in round {round_index} between candidates {self.tied_indices}"
-        )
-
-
 class UnsupportedRegimeError(IrvsimError):
     """No closed-form zone applies; use the numeric search instead."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -65,35 +66,29 @@ class PiecewisePolynomial:
                 out[sel] = np.polyval([float(c) for c in reversed(coeffs)], xa[sel])
         return out if xa.ndim else float(out)
 
+    @staticmethod
+    def _at(coeffs, x):
+        """Exact value at x of the polynomial with ascending `coeffs`."""
+        return sum(c * x**p for p, c in enumerate(coeffs))
+
     def value_exact(self, x: Fraction) -> Fraction:
-        j = self._piece_index(float(x))
-        return sum(c * x**p for p, c in enumerate(self.coefficients[j]))
+        return self._at(self.coefficients[self._piece_index(float(x))], x)
 
     def integral(self) -> Fraction:
         """Exact integral over the full support."""
-        total = F(0)
-        for j, coeffs in enumerate(self.coefficients):
-            a, b = self.breakpoints[j], self.breakpoints[j + 1]
-            for p, c in enumerate(coeffs):
-                total += c * (b ** (p + 1) - a ** (p + 1)) / (p + 1)
-        return total
+        return self._at(self.antiderivative().coefficients[-1], self.breakpoints[-1])
 
     def moment_about(self, center: Fraction, n: int) -> Fraction:
         """Exact integral of (x - center)^n times this function."""
-        from math import comb
-
-        total = F(0)
-        for j, coeffs in enumerate(self.coefficients):
-            a, b = self.breakpoints[j], self.breakpoints[j + 1]
-            # (x - center)^n expanded, convolved with the piece coefficients.
-            shift = [comb(n, i) * (-center) ** (n - i) for i in range(n + 1)]
+        shift = [comb(n, i) * (-center) ** (n - i) for i in range(n + 1)]  # (x - center)^n
+        pieces = []
+        for coeffs in self.coefficients:
             prod = [F(0)] * (len(coeffs) + n)
             for p, c in enumerate(coeffs):
                 for i, s in enumerate(shift):
                     prod[p + i] += c * s
-            for p, c in enumerate(prod):
-                total += c * (b ** (p + 1) - a ** (p + 1)) / (p + 1)
-        return total
+            pieces.append(tuple(prod))
+        return PiecewisePolynomial(self.breakpoints, tuple(pieces)).integral()
 
     def variance_about_half(self) -> Fraction:
         return self.moment_about(F(1, 2), 2)
@@ -102,24 +97,18 @@ class PiecewisePolynomial:
         """Cumulative integral from the left endpoint (continuous, exact)."""
         pieces = []
         acc = F(0)
-        for j, coeffs in enumerate(self.coefficients):
-            a, b = self.breakpoints[j], self.breakpoints[j + 1]
+        for coeffs, a, b in zip(self.coefficients, self.breakpoints, self.breakpoints[1:]):
             anti = [F(0)] + [c / (p + 1) for p, c in enumerate(coeffs)]
-            at_a = sum(c * a**p for p, c in enumerate(anti))
-            anti[0] = acc - at_a
+            anti[0] = acc - self._at(anti, a)
             pieces.append(tuple(anti))
-            acc = sum(c * b**p for p, c in enumerate(anti))
+            acc = self._at(anti, b)
         return PiecewisePolynomial(self.breakpoints, tuple(pieces))
 
     def breakpoint_jumps(self):
         """Left/right value mismatch at each interior breakpoint (floats)."""
-        jumps = []
-        for j in range(1, len(self.breakpoints) - 1):
-            b = self.breakpoints[j]
-            left = sum(c * b**p for p, c in enumerate(self.coefficients[j - 1]))
-            right = sum(c * b**p for p, c in enumerate(self.coefficients[j]))
-            jumps.append(float(left - right))
-        return jumps
+        return [float(self._at(left, b) - self._at(right, b))
+                for left, right, b in zip(self.coefficients, self.coefficients[1:],
+                                          self.breakpoints[1:-1])]
 
 
 def plurality_density_k3() -> PiecewisePolynomial:

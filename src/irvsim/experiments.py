@@ -15,7 +15,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import __version__, asymptotics, exactk3, tabulate, zones
 # also gets the asymptotics chunks traced.
 from .chunks import TRIALS_PER_CHUNK, chunk_rng, map_chunks as _map_chunks
 from .dist import SymmetricBeta, Uniform, parse_dist_spec
-from .errors import DomainError, UnsupportedRegimeError, require
+from .errors import DomainError, require
 from .tabulate import Rule
 
 __all__ = [
@@ -69,22 +69,17 @@ def _library_versions() -> dict:
 
 @dataclass
 class RunManifest:
+    """A run's provenance; the fields are in the order of the JSON keys."""
+
     config: dict
     version: str = __version__
+    libraries: dict = field(default_factory=_library_versions)
     duration_seconds: float = 0.0  # computation only, not serialization
     summaries: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    libraries: dict = field(default_factory=_library_versions)
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "libraries": self.libraries,
-            "duration_seconds": self.duration_seconds,
-            "summaries": self.summaries,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def write(self, data_path: Path) -> Path:
         """Atomically write this manifest next to `data_path`."""
@@ -95,14 +90,8 @@ class RunManifest:
     @staticmethod
     def read(path: Path) -> "RunManifest":
         data = json.loads(Path(path).read_text())
-        return RunManifest(
-            config=data["config"],
-            version=data["version"],
-            duration_seconds=data["duration_seconds"],
-            summaries=data["summaries"],
-            notes=data["notes"],
-            libraries=data.get("libraries", {}),  # absent before versions were recorded
-        )
+        # "libraries" is absent from manifests written before versions were recorded.
+        return RunManifest(**{"libraries": {}, **data})
 
 
 def _atomic_write(path: Path, pieces):
@@ -417,37 +406,30 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
         return _finish(run, t0, config, summaries, files)
 
 
-def _zone_for_alpha(alpha: float):
-    d = SymmetricBeta(alpha)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            zone = zones.zone_closed_form(d)
-    except UnsupportedRegimeError:
-        return d, None
-    return d, zone
-
-
 def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
     """Both rules across Beta(alpha, alpha) voters, with closed-form zone flags.
 
     Per alpha, both rules tabulate the same candidate draws, so the rules
-    are compared on paired profiles.
+    are compared on paired profiles. A Beta(alpha, alpha) density is monotone
+    on [0, 1/2], so every alpha has a closed-form zone.
     """
     _require_distinct("alpha", alphas, "alpha={:g}".format)
     _check_ks([k])
+    voters = [SymmetricBeta(alpha) for alpha in alphas]  # a bad alpha fails before any run
     t0 = time.monotonic()
     rules = tuple(Rule)
     summaries = {}
     no_viol = np.broadcast_to(False, run.trials)
     with _CsvFiles(run.out_dir) as files:
-        for alpha in alphas:
-            d, zone = _zone_for_alpha(alpha)
+        for alpha, d in zip(alphas, voters):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # c = 0 warns; degenerate_bound records it
+                zone = zones.zone_closed_form(d)
             exp_id = f"betasweep/alpha={alpha:g}/k={k}"
             results, irv_viol = _elections(run, exp_id, d, k, rules, zone)
             for rule in rules:
                 winners, _ = results[rule]
-                viol = irv_viol if rule is Rule.IRV and irv_viol is not None else no_viol
+                viol = irv_viol if rule is Rule.IRV else no_viol
                 # The alpha and rule columns are constant: read-only broadcasts, not copies.
                 files.append("beta_sweep.csv", ["alpha", "rule", "winner_position", "violation"],
                              [np.broadcast_to(float(alpha), run.trials),
@@ -457,13 +439,11 @@ def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
                     "rule": rule.value,
                     "k": k,
                     "trials": run.trials,
-                    "bound_c": None if zone is None else zone.c,
-                    "bound_kind": None if zone is None else zone.zone_kind.value,
+                    "bound_c": zone.c,
+                    "bound_kind": zone.zone_kind.value,
                     # Degenerate when the bound carries no information: a zero-width
                     # moderate interval, or an extreme pair covering everything.
-                    "degenerate_bound": bool(
-                        zone is not None and (zone.c <= 0.0 or zone.c >= 0.5 - 1e-9)
-                    ),
+                    "degenerate_bound": bool(zone.c <= 0.0 or zone.c >= 0.5 - 1e-9),
                     "violations": int(viol.sum()),
                 }
                 summaries[f"alpha={alpha:g}/{rule.value}"] = entry

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import Uniform, VoterDistribution
-from .errors import InvalidProfileError, TieError
+from .errors import InvalidProfileError
 
 __all__ = [
     "Rule",
-    "TieRule",
     "Profile",
     "Round",
     "TabulationOutcome",
@@ -42,13 +41,6 @@ __all__ = [
 class Rule(enum.Enum):
     PLURALITY = "plurality"
     IRV = "irv"
-
-
-class TieRule(enum.Enum):
-    """Deterministic tie policies; ties are measure-zero under continuous draws."""
-
-    ELIMINATE_LEFTMOST = "eliminate-leftmost"
-    ERROR = "error"
 
 
 class Profile:
@@ -89,9 +81,6 @@ class Profile:
         j = int(np.nonzero(self._order == original_index)[0][0])
         return float(self._sorted[j])
 
-    def __len__(self):
-        return self.k
-
     def __repr__(self):
         return f"Profile({list(self._sorted)})"
 
@@ -110,18 +99,6 @@ class TabulationOutcome:
     winner_position: float
     tie_events: tuple = field(default_factory=tuple)  # (round_index, tied originals)
 
-    def to_json(self) -> dict:
-        return {
-            "rounds": [
-                {"active": list(r.active), "shares": list(r.shares)} for r in self.rounds
-            ],
-            "elimination_order": list(self.elimination_order),
-            "winner_position": self.winner_position,
-            "ties": [
-                {"round": ri, "tied": list(tied)} for ri, tied in self.tie_events
-            ],
-        }
-
 
 def _shares_sorted(srt: np.ndarray, d: VoterDistribution) -> np.ndarray:
     """Shares for already-sorted positions: F-mass between adjacent midpoints."""
@@ -138,16 +115,14 @@ def vote_shares(p: Profile, d: VoterDistribution) -> np.ndarray:
     return _shares_sorted(p.sorted_positions, d)
 
 
-def plurality_winner(p: Profile, d: VoterDistribution, tie_rule=TieRule.ELIMINATE_LEFTMOST):
-    """Single-round winner: argmax of vote shares, ties resolved by `tie_rule`."""
+def plurality_winner(p: Profile, d: VoterDistribution):
+    """Single-round winner: argmax of vote shares; among exact ties, the rightmost wins."""
     shares = vote_shares(p, d)
     originals = p.sort_order
     top = shares.max()
     tied = np.nonzero(shares == top)[0]
     tie_events = ()
     if tied.size > 1:
-        if tie_rule is TieRule.ERROR:
-            raise TieError(0, [int(originals[j]) for j in tied])
         tie_events = ((0, tuple(int(originals[j]) for j in tied)),)
     # Eliminating leftmost among ties leaves the rightmost tied candidate as winner.
     j = tied[-1]
@@ -160,28 +135,28 @@ def plurality_winner(p: Profile, d: VoterDistribution, tie_rule=TieRule.ELIMINAT
     )
 
 
-def irv_winner(p: Profile, d: VoterDistribution, tie_rule=TieRule.ELIMINATE_LEFTMOST):
-    """Eliminate the smallest-share candidate until one remains; k-1 rounds."""
+def irv_winner(p: Profile, d: VoterDistribution):
+    """Eliminate the smallest-share candidate until one remains; k-1 rounds.
+
+    Among exact ties at the smallest share the leftmost is eliminated; each
+    tie is recorded in `tie_events`.
+    """
     srt = p.sorted_positions.copy()
     originals = list(int(i) for i in p.sort_order)
     rounds = []
     elim = []
     ties = []
-    ri = 0
     while srt.size > 1:
         shares = _shares_sorted(srt, d)
         rounds.append(Round(tuple(originals), tuple(shares)))
         low = shares.min()
         tied = np.nonzero(shares == low)[0]
         if tied.size > 1:
-            if tie_rule is TieRule.ERROR:
-                raise TieError(ri, [originals[j] for j in tied])
-            ties.append((ri, tuple(originals[j] for j in tied)))
+            ties.append((len(rounds) - 1, tuple(originals[j] for j in tied)))
         j = int(tied[0])
         elim.append(originals[j])
         srt = np.delete(srt, j)
         del originals[j]
-        ri += 1
     if not rounds:  # k == 1
         rounds.append(Round((originals[0],), (1.0,)))
     return TabulationOutcome(
@@ -223,7 +198,7 @@ def sample_ballots(p: Profile, d: VoterDistribution, n_voters: int, rng) -> Coun
     return ballots
 
 
-def irv_discrete(ballots, tie_rule=TieRule.ELIMINATE_LEFTMOST, positions=None) -> int:
+def irv_discrete(ballots, positions=None) -> int:
     """Standard IRV on a ballot multiset; returns the winning candidate index.
 
     `ballots` is a Counter (or iterable of ranking tuples). Leftmost
@@ -237,11 +212,7 @@ def irv_discrete(ballots, tie_rule=TieRule.ELIMINATE_LEFTMOST, positions=None) -
     active = set()
     for ranking in ballots:
         active.update(ranking)
-
-    def place(i):
-        return positions[i] if positions is not None else i
-
-    ri = 0
+    place = {i: i for i in active} if positions is None else positions
     while len(active) > 1:
         counts = {i: 0 for i in active}
         for ranking, n in ballots.items():
@@ -249,19 +220,16 @@ def irv_discrete(ballots, tie_rule=TieRule.ELIMINATE_LEFTMOST, positions=None) -
                 if i in active:
                     counts[i] += n
                     break
-        low = min(counts.values())
-        tied = sorted((i for i in active if counts[i] == low), key=place)
-        if len(tied) > 1 and tie_rule is TieRule.ERROR:
-            raise TieError(ri, tied)
-        active.remove(tied[0])
-        ri += 1
+        # The smallest count loses; among ties, the leftmost.
+        active.remove(min(active, key=lambda i: (counts[i], place[i])))
     return next(iter(active))
 
 
 # ---------------------------------------------------------------------------
 # Vectorized batch tabulation for Monte Carlo sweeps.
-# Batch elimination always uses the ELIMINATE_LEFTMOST policy; exact-equality
-# ties are reported via the returned flag so callers can filter them out.
+# Batch elimination eliminates the leftmost candidate among exact ties, as the
+# scalar tabulators do; exact-equality ties are reported via the returned flag
+# so callers can filter them out.
 # ---------------------------------------------------------------------------
 
 

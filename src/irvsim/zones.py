@@ -76,7 +76,6 @@ class Regime(enum.Enum):
 @dataclass(frozen=True)
 class ExclusionZone:
     c: float
-    zone_kind: ZoneKind
     regime: Regime
 
     def __post_init__(self):
@@ -84,6 +83,13 @@ class ExclusionZone:
             raise DomainError("zone parameter c must lie in [0, 1/2]")
         if self.c == 0.0:
             warnings.warn("degenerate zero-width exclusion zone (c = 0)", stacklevel=3)
+
+    @property
+    def zone_kind(self) -> ZoneKind:
+        """The extreme pair for a hyper-polarized regime, else the moderate interval."""
+        if self.regime is Regime.HYPER_POLARIZED:
+            return ZoneKind.EXTREME_PAIR
+        return ZoneKind.MODERATE_INTERVAL
 
     def contains_winner(self, x):
         """Whether position x lies in the zone; elementwise for an array."""
@@ -114,18 +120,20 @@ class ConditionCheck(NamedTuple):
     witness: float | None  # minimizing x when the condition fails
 
 
-def check_condition(
-    d: VoterDistribution, c: float, grid_points: int = 10_000, margin: float = 1e-9
-) -> ConditionCheck:
+# check_condition samples g at this many points of [c, 1/2] and requires
+# g > 1/3 + _CONDITION_MARGIN at each.
+_CONDITION_GRID_POINTS = 10_000
+_CONDITION_MARGIN = 1e-9
+
+
+def check_condition(d: VoterDistribution, c: float) -> ConditionCheck:
     """Verify the squeeze condition min g(x) > 1/3 on a grid over [c, 1/2]."""
     if not (0.0 < c < 0.5):
         raise DomainError("c must lie in (0, 1/2)")
-    if grid_points < 2:
-        raise DomainError("grid_points must be >= 2")
-    x = np.linspace(c, 0.5, grid_points)
+    x = np.linspace(c, 0.5, _CONDITION_GRID_POINTS)
     g = np.asarray(d.cdf((x + 1.0 - c) / 2.0)) - np.asarray(d.cdf((c + x) / 2.0))
     j = int(np.argmin(g))
-    ok = bool(g[j] > 1.0 / 3.0 + margin)
+    ok = bool(g[j] > 1.0 / 3.0 + _CONDITION_MARGIN)
     return ConditionCheck(ok, float(g[j]), None if ok else float(x[j]))
 
 
@@ -139,22 +147,20 @@ def zone_closed_form(d: VoterDistribution) -> ExclusionZone:
     shape = d.classify_shape()
     if shape.hyper_polarized:
         c = 2.0 * float(d.quantile(1.0 / 3.0))
-        return ExclusionZone(c, ZoneKind.EXTREME_PAIR, Regime.HYPER_POLARIZED)
+        return ExclusionZone(c, Regime.HYPER_POLARIZED)
     if shape.label is Monotonicity.NON_DECREASING_LEFT:
         c = float(d.quantile(1.0 / 6.0))
-        return ExclusionZone(c, ZoneKind.MODERATE_INTERVAL, Regime.MODERATE)
+        return ExclusionZone(c, Regime.MODERATE)
     if shape.label is Monotonicity.NON_INCREASING_LEFT:
         c = 2.0 * (float(d.quantile(1.0 / 3.0)) - 0.25)
-        return ExclusionZone(max(c, 0.0), ZoneKind.MODERATE_INTERVAL, Regime.POLARIZED)
+        return ExclusionZone(max(c, 0.0), Regime.POLARIZED)
     raise UnsupportedRegimeError(
         "density is not monotone on [0, 1/2] and F(1/4) < 1/3; "
         "use min_zone_numeric instead"
     )
 
 
-def min_zone_numeric(
-    d: VoterDistribution, tol: float = 1e-6, grid_points: int = 10_000
-) -> ExclusionZone:
+def min_zone_numeric(d: VoterDistribution, tol: float = 1e-6) -> ExclusionZone:
     """Smallest verified zone: the largest c at which the squeeze condition holds.
 
     Scans c downward (no monotonicity in c is assumed) until the condition
@@ -167,7 +173,7 @@ def min_zone_numeric(
     lo = None
     hi = 0.5
     for c in scan:
-        if check_condition(d, float(c), grid_points).satisfied:
+        if check_condition(d, float(c)).satisfied:
             lo = float(c)
             break
         hi = float(c)
@@ -175,11 +181,11 @@ def min_zone_numeric(
         raise NoZoneError("no c in (0, 1/2) satisfies the vote-share condition")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if check_condition(d, mid, grid_points).satisfied:
+        if check_condition(d, mid).satisfied:
             lo = mid
         else:
             hi = mid
-    return ExclusionZone(lo, ZoneKind.MODERATE_INTERVAL, Regime.GENERAL_NUMERIC)
+    return ExclusionZone(lo, Regime.GENERAL_NUMERIC)
 
 
 def small_k_counterexample() -> Profile:

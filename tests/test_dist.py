@@ -26,7 +26,6 @@ def test_uniform_basics():
 def test_uniform_shape():
     s = Uniform().classify_shape()
     assert s.label is Monotonicity.NON_DECREASING_LEFT
-    assert s.also_nonincreasing
     assert not s.hyper_polarized
 
 
@@ -36,8 +35,9 @@ def test_domain_errors():
         d.cdf(1.5)
     with pytest.raises(DomainError):
         d.quantile(-0.1)
-    with pytest.raises(DomainError):
-        SymmetricBeta(0.0)
+    for alpha in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            SymmetricBeta(alpha)
 
 
 def test_beta_alpha_one_matches_uniform_exactly():
@@ -206,6 +206,8 @@ def test_parse_dist_spec(tmp_path):
     assert isinstance(parse_dist_spec(f"table:{csv}"), Tabulated)
     with pytest.raises(DomainError):
         parse_dist_spec("cauchy")
+    with pytest.raises(DomainError, match="'beta:inf': alpha must be positive and finite"):
+        parse_dist_spec("beta:inf")
 
 
 def test_sampling_matches_cdf():

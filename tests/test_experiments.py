@@ -59,6 +59,14 @@ def test_chunk_rng_deterministic_and_distinct():
     assert not np.array_equal(a, d)
 
 
+def test_chunk_rng_rejects_a_negative_master_seed():
+    # Every stream is derived here, so every driver rejects a negative seed.
+    with pytest.raises(DomainError, match="master seed must be >= 0"):
+        chunk_rng(-1, "exp", 0)
+    with pytest.raises(DomainError, match="master seed must be >= 0"):
+        run_scatter([3], dist="uniform", run=RunSpec(10, -1))
+
+
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     value = 0.1234567890123456789
@@ -319,6 +327,12 @@ def test_beta_sweep_requires_alphas():
         run_beta_sweep([], 5, run=_RUN)
 
 
+def test_beta_sweep_rejects_a_bad_alpha_before_running(monkeypatch):
+    monkeypatch.setattr(experiments, "_elections", lambda *args: pytest.fail("a sweep ran"))
+    with pytest.raises(DomainError, match="alpha must be positive and finite"):
+        run_beta_sweep([2.0, float("inf")], 5, run=_RUN)
+
+
 @pytest.mark.parametrize("driver, kwargs, message", [
     (run_scatter, dict(ks=[], dist="uniform"), "k list must be nonempty"),
     (run_winner_histograms, dict(ks=[3], rules=(), dist="uniform"),
@@ -507,6 +521,17 @@ def test_cli_usage_error_exit_code():
     (["scatter", "--k", "4", "3", "4", "--trials", "10"], "share the summary key 'k4'"),
     (["betasweep", "--alpha", "2", "2.0000001", "--k", "5", "--trials", "10"],
      "share the summary key 'alpha=2'"),
+    # Every seeded subcommand rejects a negative seed before it runs anything.
+    (["simulate", "--seed", "-1", "--trials", "10"], "--seed"),
+    (["scatter", "--seed", "-1", "--trials", "10"], "--seed"),
+    (["betasweep", "--alpha", "2", "--seed", "-1", "--trials", "10"], "--seed"),
+    (["gumbel", "--seed", "-1", "--k", "50", "--trials", "10"], "--seed"),
+    (["verify", "--seed", "-1"], "--seed"),
+    # An infinite Beta alpha is not a distribution.
+    (["simulate", "--dist", "beta:inf", "--trials", "10"], "alpha must be positive and finite"),
+    (["betasweep", "--alpha", "inf", "--k", "5", "--trials", "10"],
+     "alpha must be positive and finite"),
+    (["zone", "--dist", "beta:inf"], "alpha must be positive and finite"),
 ])
 def test_cli_bad_input_exits_1_with_message(argv, named, tmp_path, monkeypatch, capsys,
                                             recwarn):

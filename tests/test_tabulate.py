@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irvsim.dist import SymmetricBeta, Tabulated, Uniform
-from irvsim.errors import InvalidProfileError, TieError
+from irvsim.errors import InvalidProfileError
 from irvsim.tabulate import (
     Profile,
     Rule,
-    TieRule,
     irv_batch,
     irv_discrete,
     irv_winner,
@@ -84,12 +83,6 @@ def test_plurality_winner_simple():
     assert out.tie_events
 
 
-def test_plurality_tie_error_policy():
-    with pytest.raises(TieError) as exc:
-        plurality_winner(Profile([0.2, 0.5, 0.9]), U, tie_rule=TieRule.ERROR)
-    assert exc.value.round_index == 0
-
-
 def test_irv_rounds_and_elimination():
     p = Profile([0.1, 0.45, 0.95])
     out = irv_winner(p, U)
@@ -106,14 +99,6 @@ def test_irv_five_candidate_reversal():
     p = Profile([0.01, 0.2, 0.5, 0.8, 1.0])
     assert plurality_winner(p, U).winner_position == 0.5
     assert irv_winner(p, U).winner_position in (0.2, 0.8)
-
-
-def test_outcome_json_round_trip():
-    out = irv_winner(Profile([0.1, 0.45, 0.95]), U)
-    js = out.to_json()
-    assert js["winner_position"] == 0.45
-    assert js["elimination_order"] == [0, 2]
-    assert len(js["rounds"]) == 2
 
 
 def test_irv_beta_voters():

@@ -91,7 +91,7 @@ def test_extreme_pair_claim_holds_where_the_cdf_is_flat_at_one_third():
     assert zone_closed_form(d).c == pytest.approx(0.4)
     rng = np.random.default_rng(2)
     for c in (0.24, 0.4):
-        zone = ExclusionZone(c, ZoneKind.EXTREME_PAIR, Regime.HYPER_POLARIZED)
+        zone = ExclusionZone(c, Regime.HYPER_POLARIZED)
         for k in range(3, 9):
             pos = rng.random((3000, k))
             pos[:, 0] = rng.uniform(0.0, 0.16, 3000)
