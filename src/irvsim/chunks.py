@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["TRIALS_PER_CHUNK", "DRAWS_PER_CHUNK", "chunk_rng", "map_chunks"]
+__all__ = ["TRIALS_PER_CHUNK", "DRAWS_PER_CHUNK", "check_seed", "chunk_rng", "map_chunks"]
 
 # Trials per chunk for the experiment drivers. Their streams depend on this
 # constant: chunk i always gets the same RNG and the same trial count.
@@ -27,10 +27,15 @@ TRIALS_PER_CHUNK = 4096
 DRAWS_PER_CHUNK = 1_000_000
 
 
-def chunk_rng(master_seed: int, experiment_id: str, chunk_index: int):
-    """Deterministic per-chunk generator, stable across worker counts."""
+def check_seed(master_seed: int) -> None:
+    """Reject a negative master seed; every stream is derived from it."""
     if master_seed < 0:
         raise DomainError(f"the master seed must be >= 0, got {master_seed}")
+
+
+def chunk_rng(master_seed: int, experiment_id: str, chunk_index: int):
+    """Deterministic per-chunk generator, stable across worker counts."""
+    check_seed(master_seed)
     tag = int.from_bytes(hashlib.sha256(experiment_id.encode()).digest()[:8], "big")
     return np.random.default_rng(
         np.random.SeedSequence([master_seed, tag, chunk_index])

@@ -24,7 +24,7 @@ from . import __version__, asymptotics, exactk3, tabulate, zones
 # perfbench/tracer.py wraps `experiments._map_chunks` and rebinds the wrapper
 # wherever an irvsim module holds the same function object, so this binding
 # also gets the asymptotics chunks traced.
-from .chunks import TRIALS_PER_CHUNK, chunk_rng, map_chunks as _map_chunks
+from .chunks import TRIALS_PER_CHUNK, check_seed, chunk_rng, map_chunks as _map_chunks
 from .dist import SymmetricBeta, Uniform, parse_dist_spec
 from .errors import DomainError, require
 from .tabulate import Rule
@@ -58,13 +58,8 @@ class RunSpec:
 
 
 def _library_versions() -> dict:
-    """The numpy and scipy versions; random streams and special functions come from them.
-
-    Bare `scipy` imports in about 12 ms; `scipy.special` stays unloaded.
-    """
-    import scipy
-
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    """The numpy version; the random streams come from it."""
+    return {"numpy": np.__version__}
 
 
 @dataclass
@@ -603,7 +598,9 @@ def run_verify(seed: int, out_dir: Path | None = None) -> dict:
     """Run the full desk-scale check suite; returns a machine-readable report.
 
     Given `out_dir`, it writes the report there with a manifest that records `seed`.
+    A negative seed raises `DomainError` before any check runs.
     """
+    check_seed(seed)
     t0 = time.monotonic()
     checks = [
         _check(

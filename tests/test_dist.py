@@ -38,6 +38,9 @@ def test_domain_errors():
     for alpha in (0.0, np.inf, np.nan):
         with pytest.raises(DomainError, match="alpha must be positive and finite"):
             SymmetricBeta(alpha)
+    # NaN lies outside [0, 1] too; the Beta table would index with it.
+    with pytest.raises(DomainError, match="x must lie in"):
+        SymmetricBeta(2.0).cdf(np.array([0.5, np.nan]))
 
 
 def test_beta_alpha_one_matches_uniform_exactly():
@@ -82,6 +85,92 @@ def test_beta_shape_classification():
     assert SymmetricBeta(0.8).classify_shape().label is Monotonicity.NON_INCREASING_LEFT
     assert not SymmetricBeta(0.8).classify_shape().hyper_polarized
     assert SymmetricBeta(0.3).classify_shape().hyper_polarized
+
+
+def test_beta_half_is_the_hyper_polarization_boundary():
+    # F_alpha(1/4) decreases strictly in alpha and equals 1/3 at alpha = 1/2,
+    # so the class is decided from alpha, not from a rounded F(1/4).
+    assert not SymmetricBeta(0.5).classify_shape().hyper_polarized
+    assert SymmetricBeta(np.nextafter(0.5, 0)).classify_shape().hyper_polarized
+    for alpha in (0.05, 0.3, 0.45, 0.49, 0.51, 0.6, 2.0):
+        d = SymmetricBeta(alpha)
+        assert d.classify_shape().hyper_polarized == (d.cdf(0.25) > 1 / 3)
+
+
+# Accuracy of the scipy-free Beta CDF. scipy (and mpmath at large alpha) is
+# the oracle here only; the library does not import it.
+BETA_ORACLE_ALPHAS = (0.05, 0.2, 0.3, 0.45, 0.5, 0.6, 0.8, 2.0, 5.0)
+
+
+def _betainc_lower(alpha, x):
+    """betainc on m = min(x, 1 - x), mirrored: the reference where betainc is accurate.
+
+    betainc(1/2, 1/2, x) errs by up to 2.5e-11 just below x = 1 (against the
+    arcsine law and mpmath), and 1 - x is exact for x >= 1/2.
+    """
+    from scipy.special import betainc
+
+    m = np.minimum(x, 1.0 - x)
+    f = betainc(alpha, alpha, m)
+    return np.where(x > 0.5, 1.0 - f, f)
+
+
+@pytest.mark.parametrize("alpha", BETA_ORACLE_ALPHAS)
+def test_beta_cdf_matches_betainc(alpha):
+    d = SymmetricBeta(alpha)
+    grid = np.linspace(0.0, 1.0, 100_001)
+    draws = d.sample(np.random.default_rng(7), 100_000)
+    for x in (grid, draws):
+        assert np.max(np.abs(d.cdf(x) - _betainc_lower(alpha, x))) <= 2e-15
+
+
+def test_beta_half_cdf_matches_the_arcsine_law():
+    m = np.linspace(0.0, 0.5, 50_001)
+    ref = 2.0 / np.pi * np.arcsin(np.sqrt(m))
+    assert np.max(np.abs(SymmetricBeta(0.5).cdf(m) - ref)) <= 2e-15
+
+
+@pytest.mark.parametrize("alpha, tol", [(20.5, 2e-15), (1000.0, 4e-15)])
+def test_beta_cdf_matches_mpmath_at_a_large_alpha(alpha, tol):
+    # Within 5/sqrt(alpha) of 1/2, where mpmath converges; F is below 1e-40
+    # beyond. At alpha = 1000 the table spans only [0.053, 1/2], and the
+    # rounding of log 2m + log1p(1 - 2m) grows like sqrt(alpha) ulps.
+    import mpmath
+
+    d = SymmetricBeta(alpha)
+    w = min(0.5, 5.0 / np.sqrt(alpha))
+    x = np.concatenate((np.linspace(0.5 - w, 0.5 + w, 101),
+                        d.sample(np.random.default_rng(8), 100)))
+    ref = np.array([float(mpmath.betainc(alpha, alpha, 0, v, regularized=True)) for v in x])
+    assert np.max(np.abs(d.cdf(x) - ref)) <= tol
+
+
+@pytest.mark.parametrize("alpha", BETA_ORACLE_ALPHAS + (20.5,))
+def test_beta_cdf_mirror_is_exact(alpha):
+    # Dyadic x, so 1 - x is exact: F(1 - x) = 1 - F(x) holds bit for bit.
+    x = np.arange(0, 2**19 + 1) / 2**20
+    d = SymmetricBeta(alpha)
+    assert np.array_equal(d.cdf(1.0 - x), 1.0 - d.cdf(x))
+    assert d.cdf(0.0) == 0.0 and d.cdf(1.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha", BETA_ORACLE_ALPHAS + (20.5,))
+def test_beta_quantile_inverts_cdf(alpha):
+    d = SymmetricBeta(alpha)
+    x = np.linspace(0.05, 0.95, 901)
+    p = d.cdf(x)
+    x = x[(p >= 1e-6) & (p <= 1 - 1e-6)]  # where float64 resolves F
+    assert np.max(np.abs(d.quantile(d.cdf(x)) - x)) <= 1e-12
+    assert d.quantile(0.0) == 0.0 and d.quantile(1.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha", BETA_ORACLE_ALPHAS + (20.5,))
+def test_beta_density_matches_scipy(alpha):
+    from scipy.special import beta
+
+    x = np.linspace(0.001, 0.999, 999)
+    ref = x ** (alpha - 1) * (1 - x) ** (alpha - 1) / beta(alpha, alpha)
+    assert np.allclose(SymmetricBeta(alpha).density(x), ref, rtol=1e-13, atol=0)
 
 
 def test_tabulated_matches_linear_density():

@@ -274,11 +274,10 @@ def test_chunks_fill_their_own_rows_under_thread_contention():
 
 
 def test_manifest_records_library_versions(tmp_path):
-    import scipy
-
+    # numpy is the one runtime dependency; the random streams come from it.
     path = RunManifest({"seed": 1}).write(tmp_path / "run.csv")
     m = RunManifest.read(path)
-    assert m.libraries == {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert m.libraries == {"numpy": np.__version__}
     assert m.to_json() == json.loads(path.read_text())
 
 
@@ -428,6 +427,14 @@ def test_verify_detects_injected_fault(monkeypatch):
         assert not report["passed"]
 
 
+def test_verify_rejects_a_negative_seed_before_any_check(monkeypatch):
+    ran = []
+    monkeypatch.setattr(experiments, "_check", lambda *args: ran.append(args))
+    with pytest.raises(DomainError, match="master seed must be >= 0"):
+        run_verify(-1)
+    assert ran == []
+
+
 def test_check_records_any_exception_as_failure():
     def crash():
         raise ZeroDivisionError("boom")
@@ -471,10 +478,23 @@ def test_verify_fails_under_python_O():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, irvsim.cli; print('scipy' in sys.modules)"
+    # Importing the CLI, a Beta sweep (which needs F, its inverse and f) and
+    # verify all leave every scipy module unloaded.
+    code = (
+        "import contextlib, io, sys\n"
+        "from irvsim import cli\n"
+        "from irvsim.dist import SymmetricBeta\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['betasweep', '--alpha', '0.3', '0.8', '2', '--k', '6',\n"
+        "                     '--trials', '500']) == 0\n"
+        "    assert cli.main(['verify', '--seed', '0']) == 0\n"
+        "d = SymmetricBeta(0.3)\n"
+        "d.density(d.quantile(d.cdf(0.2)))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
     proc = _run_python([], code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

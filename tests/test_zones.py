@@ -238,3 +238,25 @@ def test_degenerate_zone_warns():
     # either regime classification is acceptable at the boundary, but the
     # bound must be degenerate: covering nothing or everything.
     assert z.c <= 1e-9 or z.c >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.2, 0.3, 0.45, 0.6, 0.8, 2.0, 5.0, 20.5))
+def test_closed_form_beta_zone_matches_an_mpmath_root(alpha):
+    import mpmath
+
+    d = SymmetricBeta(alpha)
+    z = zone_closed_form(d)
+    # The quantile each regime inverts; c is exact arithmetic on it.
+    if z.regime is Regime.MODERATE:
+        p, q = 1 / 6, z.c
+    elif z.regime is Regime.POLARIZED:
+        p, q = 1 / 3, z.c / 2 + 0.25
+    else:
+        p, q = 1 / 3, z.c / 2
+    with mpmath.workdps(40):
+        ref = float(mpmath.findroot(
+            lambda t: mpmath.betainc(alpha, alpha, 0, t, regularized=True) - mpmath.mpf(p), q))
+    # An ulp of F moves its root by cond = F / (q f(q)) ulps of q, about
+    # 1/alpha for small alpha, so the bound is 4 ulp scaled by cond.
+    cond = p / (ref * float(d.density(ref)))
+    assert abs(q - ref) <= 4 * max(cond, 1.0) * np.spacing(ref)
