@@ -17,7 +17,6 @@ from .asymptotics import (
     ks_statistic,
     max_gap_experiment,
     spacings,
-    winner_uniformity_experiment,
     winning_share_experiment,
 )
 from .dist import (

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tabulate, zones
-from .chunks import DRAWS_PER_CHUNK, map_chunks
-from .dist import Uniform, VoterDistribution
+from .chunks import check_int, map_chunks
+from .dist import Uniform
 from .errors import DomainError, require
 # Unused here, but perfbench/tracer.py looks up asymptotics.{irv,plurality}_batch by name.
-from .tabulate import Rule, irv_batch, plurality_batch, shares_batch  # noqa: F401
+from .tabulate import irv_batch, plurality_batch, shares_batch  # noqa: F401
 
 __all__ = [
     "gumbel_cdf",
@@ -30,7 +29,6 @@ __all__ = [
     "winning_share_experiment",
     "max_gap_experiment",
     "circle_coupling_experiment",
-    "winner_uniformity_experiment",
     "ks_statistic",
 ]
 
@@ -96,8 +94,7 @@ def _spacing_blocks(n: int, trials: int, rng):
 
 def gaps_from_uniform(n: int, rng) -> np.ndarray:
     """The n spacings of [0, 1] cut at n - 1 sorted uniform breakpoints."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = check_int("n", n, 1)
     cuts = np.sort(rng.random(n - 1))
     return np.diff(np.concatenate(([0.0], cuts, [1.0])))
 
@@ -117,14 +114,6 @@ class GumbelExperimentResult:
             "median": float(np.median(self.statistics)),
             "mean": float(np.mean(self.statistics)),
         }
-
-
-def _map_trials(kernel, seed, experiment_id, trials, threads, draws_per_trial):
-    """map_chunks with chunks sized in draws: each holds about DRAWS_PER_CHUNK values."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    return map_chunks(kernel, seed, experiment_id, trials, threads,
-                      trials_per_chunk=max(1, DRAWS_PER_CHUNK // draws_per_trial))
 
 
 def _gap_shares(gaps: np.ndarray) -> np.ndarray:
@@ -147,19 +136,19 @@ def winning_share_experiment(k: int, trials: int, seed: int,
     Per trial: k uniform candidates, uniform voters, V = max vote share. The
     statistic converges to the standard Gumbel law as k grows.
     """
-    if k < 3:
-        raise DomainError("k must be >= 3 so that log log n is defined")
+    k = check_int("k", k, 3)  # so that log log n is defined
     n = k + 1
     center = math.log(n) + math.log(math.log(n))
 
-    def chunk(_index, chunk_trials, rng):
-        v = np.empty(chunk_trials)
-        for rows, gaps in _spacing_blocks(n, chunk_trials, rng):
-            v[rows] = _gap_shares(gaps).max(axis=1)
-            require(np.all(v[rows] >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
+    def chunk(rows, rng):
+        v = np.empty(rows.stop - rows.start)
+        for part, gaps in _spacing_blocks(n, len(v), rng):
+            v[part] = _gap_shares(gaps).max(axis=1)
+            require(np.all(v[part] >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
         return 2.0 * n * v - center
 
-    stats = np.concatenate(_map_trials(chunk, seed, f"gumbel-share/k={k}", trials, threads, n))
+    stats = np.concatenate(map_chunks(chunk, seed, f"gumbel-share/k={k}", trials, threads,
+                                      draws_per_trial=n))
     return GumbelExperimentResult(k, trials, stats, ks_statistic(stats, gumbel_cdf))
 
 
@@ -170,18 +159,18 @@ def max_gap_experiment(n: int, trials: int, seed: int,
     Converges faster than the winning-share statistic and serves as its
     calibration oracle.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    n = check_int("n", n, 2)
     logn = math.log(n)
 
-    def chunk(_index, chunk_trials, rng):
-        top = np.empty(chunk_trials)
-        for rows, gaps in _spacing_blocks(n, chunk_trials, rng):
+    def chunk(rows, rng):
+        top = np.empty(rows.stop - rows.start)
+        for part, gaps in _spacing_blocks(n, len(top), rng):
             require(np.all(np.abs(gaps.sum(axis=1) - 1.0) < 1e-12), "gaps do not sum to 1")
-            top[rows] = gaps.max(axis=1)
+            top[part] = gaps.max(axis=1)
         return n * top - logn
 
-    stats = np.concatenate(_map_trials(chunk, seed, f"max-gap/n={n}", trials, threads, n))
+    stats = np.concatenate(map_chunks(chunk, seed, f"max-gap/n={n}", trials, threads,
+                                      draws_per_trial=n))
     return GumbelExperimentResult(n, trials, stats, ks_statistic(stats, gumbel_cdf))
 
 
@@ -192,12 +181,11 @@ def circle_coupling_experiment(k: int, trials: int, seed: int, threads: int = 1)
     share vectors differ solely at the extreme candidates; the rate decreases
     in k because the boundary candidates rarely hold the maximal share.
     """
-    if k < 3:
-        raise DomainError("k must be >= 3")
+    k = check_int("k", k, 3)
 
-    def chunk(_index, chunk_trials, rng):
+    def chunk(rows, rng):
         differ = 0
-        for _rows, gaps in _spacing_blocks(k + 1, chunk_trials, rng):
+        for _part, gaps in _spacing_blocks(k + 1, rows.stop - rows.start, rng):
             # On the circle the two outer gaps form one wrap arc g_0 + g_k, half
             # of which goes to each end candidate.
             circle = gaps[:, :-1] + gaps[:, 1:]
@@ -212,39 +200,5 @@ def circle_coupling_experiment(k: int, trials: int, seed: int, threads: int = 1)
             differ += int(np.count_nonzero(circle.argmax(axis=1) != interval.argmax(axis=1)))
         return differ
 
-    return sum(_map_trials(chunk, seed, f"circle/k={k}", trials, threads, k + 1)) / trials
-
-
-@dataclass(frozen=True)
-class UniformityResult:
-    rule: Rule
-    k: int
-    trials: int
-    winner_positions: np.ndarray
-    ks_vs_uniform: float | None  # only meaningful for uniform voters
-
-
-def winner_uniformity_experiment(
-    rule: Rule, k: int, trials: int, d: VoterDistribution, seed: int, threads: int = 1
-) -> UniformityResult:
-    """Winner positions over repeated random profiles, with KS vs Uniform(0,1).
-
-    For uniform voters under IRV this also checks, per trial, that the winner
-    lies in [1/6, 5/6] whenever any candidate does.
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    uniform_voters = isinstance(d, Uniform)
-    zone = zones.zone_closed_form(d) if uniform_voters and rule is Rule.IRV else None
-
-    def chunk(_index, chunk_trials, rng):
-        pos = tabulate.sample_sorted_positions(d, k, chunk_trials, rng)
-        w, _ = tabulate.winners(rule, pos, d)
-        if zone is not None:
-            require(not zone.violations(pos, w).any(), "an IRV winner escaped [1/6, 5/6]")
-        return w
-
-    winners = np.concatenate(
-        _map_trials(chunk, seed, f"winner-uniformity/{rule.value}/k={k}", trials, threads, k))
-    ks = ks_statistic(winners, lambda x: x) if uniform_voters else None
-    return UniformityResult(rule, k, trials, winners, ks)
+    return sum(map_chunks(chunk, seed, f"circle/k={k}", trials, threads,
+                          draws_per_trial=k + 1)) / trials

@@ -1,13 +1,14 @@
 """The trial engine: fixed-size chunks of trials, each with its own RNG.
 
-Chunk RNGs are derived from (master_seed, experiment id, chunk index) and
-chunk sizes are fixed by the caller, never by the worker count, so results
-are bitwise identical for any number of threads.
+Chunk RNGs are derived from (master_seed, experiment id, chunk index). Chunk
+sizes are set by the engine, never by the caller or the worker count, so
+results are bitwise identical for any number of threads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,27 +28,42 @@ TRIALS_PER_CHUNK = 4096
 DRAWS_PER_CHUNK = 1_000_000
 
 
-def check_seed(master_seed: int) -> None:
-    """Reject a negative master seed; every stream is derived from it."""
-    if master_seed < 0:
-        raise DomainError(f"the master seed must be >= 0, got {master_seed}")
+def check_int(name: str, value, least: int) -> int:
+    """`value` as an int; DomainError unless it is an integer >= `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def check_seed(master_seed) -> int:
+    """The master seed, from which every stream is derived, as an int >= 0."""
+    return check_int("the master seed", master_seed, 0)
 
 
 def chunk_rng(master_seed: int, experiment_id: str, chunk_index: int):
     """Deterministic per-chunk generator, stable across worker counts."""
     check_seed(master_seed)
     tag = int.from_bytes(hashlib.sha256(experiment_id.encode()).digest()[:8], "big")
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, tag, chunk_index])
-    )
+    return np.random.default_rng(np.random.SeedSequence([master_seed, tag, chunk_index]))
 
 
 def map_chunks(fn, seed: int, experiment_id: str, trials: int, threads: int = 1,
-               trials_per_chunk: int = TRIALS_PER_CHUNK) -> list:
-    """Run fn(chunk_index, chunk_trials, rng) over all chunks; results in chunk order."""
-    full, rest = divmod(trials, trials_per_chunk)
-    sizes = [trials_per_chunk] * full + ([rest] if rest else [])
-    args = [(i, n, chunk_rng(seed, experiment_id, i)) for i, n in enumerate(sizes)]
+               draws_per_trial: int | None = None) -> list:
+    """Run fn(rows, rng) on each chunk of range(trials); results in chunk order.
+
+    `rows` is the chunk's slice of range(trials), `rng` its chunk_rng. A chunk holds
+    TRIALS_PER_CHUNK trials, or DRAWS_PER_CHUNK // draws_per_trial (at least one)
+    given `draws_per_trial`; only the last may hold fewer.
+    """
+    trials = check_int("trials", trials, 1)
+    size = (TRIALS_PER_CHUNK if draws_per_trial is None
+            else max(1, DRAWS_PER_CHUNK // draws_per_trial))
+    args = [(slice(start, min(start + size, trials)), chunk_rng(seed, experiment_id, i))
+            for i, start in enumerate(range(0, trials, size))]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(lambda a: fn(*a), args))

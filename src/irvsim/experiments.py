@@ -24,7 +24,7 @@ from . import __version__, asymptotics, exactk3, tabulate, zones
 # perfbench/tracer.py wraps `experiments._map_chunks` and rebinds the wrapper
 # wherever an irvsim module holds the same function object, so this binding
 # also gets the asymptotics chunks traced.
-from .chunks import TRIALS_PER_CHUNK, check_seed, chunk_rng, map_chunks as _map_chunks
+from .chunks import check_int, check_seed, chunk_rng, map_chunks as _map_chunks
 from .dist import SymmetricBeta, Uniform, parse_dist_spec
 from .errors import DomainError, require
 from .tabulate import Rule
@@ -51,10 +51,9 @@ class RunSpec:
     out_dir: Path | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
+        object.__setattr__(self, "trials", check_int("trials", self.trials, 1))
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "threads", check_int("threads", self.threads, 1))
 
 
 def _library_versions() -> dict:
@@ -333,8 +332,8 @@ def _require_distinct(name: str, values, key) -> None:
 
 
 def _check_ks(ks) -> None:
-    if any(k < 1 for k in ks):
-        raise DomainError("k must be >= 1")
+    for k in ks:
+        check_int("k", k, 1)
     _require_distinct("k", ks, "k{}".format)
 
 
@@ -349,9 +348,8 @@ def _elections(run: RunSpec, experiment_id: str, d, k: int, rules, zone=None):
     results = {rule: (np.empty(run.trials), np.empty(run.trials, dtype=bool)) for rule in rules}
     violations = np.empty(run.trials, dtype=bool) if check else None
 
-    def one(chunk_index, chunk_trials, rng):
-        rows = slice(chunk_index * TRIALS_PER_CHUNK, chunk_index * TRIALS_PER_CHUNK + chunk_trials)
-        pos = tabulate.sample_sorted_positions(d, k, chunk_trials, rng)
+    def one(rows, rng):
+        pos = tabulate.sample_sorted_positions(d, k, rows.stop - rows.start, rng)
         # The rules share their first-round cuts; evaluate F there once.
         mid_cdf = tabulate.midpoint_cdf(pos, d) if len(rules) > 1 else None
         for rule, (winners, ties) in results.items():
@@ -387,13 +385,12 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
                     "mean": float(winners.mean()),
                     "var_about_half": float(np.mean((winners - 0.5) ** 2)),
                 }
-                if k == 3 and uniform:
-                    dens = exactk3.density_k3(rule)
-                    entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, dens.antiderivative())
                 summaries[f"{rule.value}_k{k}"] = entry
                 files.append(f"winners_{rule.value}_k{k}.csv", ["trial", "winner_position", "tie"],
                              [range(run.trials), winners, ties])
                 if k == 3 and uniform:
+                    dens = exactk3.density_k3(rule)
+                    entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, dens.antiderivative())
                     grid = np.linspace(0.0, 1.0, 1001)
                     files.append(f"exact_density_{rule.value}_k3.csv", ["x", "density"],
                                  [grid, dens(grid)])
@@ -514,10 +511,8 @@ def _verify_exact_identities():
 def _verify_zone_sweep(seed, d, experiment_id: str, trials: int):
     """IRV at k = 6 on `trials` profiles from `d` never breaks its closed-form zone."""
     zone = zones.zone_closed_form(d)
-    rng = chunk_rng(seed, experiment_id, 0)
-    pos = tabulate.sample_sorted_positions(d, 6, trials, rng)
-    w, _ = tabulate.winners(Rule.IRV, pos, d)
-    bad = int(np.count_nonzero(zone.violations(pos, w)))
+    _, violations = _elections(RunSpec(trials, seed), experiment_id, d, 6, (Rule.IRV,), zone)
+    bad = int(np.count_nonzero(violations))
     require(bad == 0, f"{bad} winners escaped the {zone.zone_kind.value} zone, c = {zone.c:.6g}")
     return {"trials": trials, "violations": bad}
 

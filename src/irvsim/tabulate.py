@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Uniform, VoterDistribution
+from .dist import VoterDistribution
 from .errors import InvalidProfileError
 
 __all__ = [
@@ -256,14 +256,13 @@ def shares_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None) -> 
 
 
 def plurality_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
-    """Winner positions, winner columns, and tie flags for each row."""
+    """Winner positions and tie flags for each row."""
     shares = shares_batch(sorted_pos, d, mid_cdf)
     top = shares.max(axis=1)
     tie = (shares == top[:, None]).sum(axis=1) > 1
     # Rightmost among exact ties, matching the leftmost-elimination policy.
     j = shares.shape[1] - 1 - np.argmax(shares[:, ::-1], axis=1)
-    rows = np.arange(sorted_pos.shape[0])
-    return sorted_pos[rows, j], j, tie
+    return sorted_pos[np.arange(sorted_pos.shape[0]), j], tie
 
 
 def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
@@ -314,7 +313,4 @@ def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
 
 def winners(rule: Rule, sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
     """Winner positions and exact-tie flags for each row under `rule`; see midpoint_cdf."""
-    if rule is Rule.PLURALITY:
-        w, _, tie = plurality_batch(sorted_pos, d, mid_cdf=mid_cdf)
-        return w, tie
-    return irv_batch(sorted_pos, d, mid_cdf=mid_cdf)
+    return (plurality_batch if rule is Rule.PLURALITY else irv_batch)(sorted_pos, d, mid_cdf)

@@ -113,7 +113,7 @@ def test_criterion_4_monte_carlo_vs_exact_k3():
         rng = chunk_rng(MASTER_SEED, f"acceptance/4/{rule.value}", 0)
         pos = sample_sorted_positions(U, 3, trials, rng)
         if rule is Rule.PLURALITY:
-            winners, _, _ = plurality_batch(pos, U)
+            winners, _ = plurality_batch(pos, U)
         else:
             winners, _ = irv_batch(pos, U)
         results[rule.value] = ks_statistic(winners, dens.antiderivative())
@@ -129,7 +129,7 @@ def test_criterion_5_plurality_winner_near_uniform():
     while done < trials:
         n = min(8000, trials - done)
         pos = np.sort(rng.random((n, k)), axis=1)
-        w, _, _ = plurality_batch(pos, U)
+        w, _ = plurality_batch(pos, U)
         winners[done : done + n] = w
         done += n
     ks = ks_statistic(winners, lambda x: x)
@@ -206,7 +206,7 @@ def test_criterion_10_small_k_dominance():
         for k in (3, 4):
             rng = chunk_rng(MASTER_SEED, f"acceptance/10/{label}/k={k}", 0)
             pos = sample_sorted_positions(d, k, trials, rng)
-            wp, _, tie_p = plurality_batch(pos, d)
+            wp, tie_p = plurality_batch(pos, d)
             wr, tie_r = irv_batch(pos, d)
             clean = ~(tie_p | tie_r)
             more_extreme = (np.abs(wr - 0.5) > np.abs(wp - 0.5)) & clean

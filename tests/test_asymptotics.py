@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from irvsim import asymptotics, tabulate
+from irvsim import asymptotics, experiments, tabulate, zones
 from irvsim.asymptotics import (
     _gap_shares,
     _spacing_blocks,
@@ -15,12 +15,12 @@ from irvsim.asymptotics import (
     ks_statistic,
     max_gap_experiment,
     spacings,
-    winner_uniformity_experiment,
     winning_share_experiment,
 )
 from irvsim.dist import Uniform
-from irvsim.errors import CheckFailed, DomainError
+from irvsim.errors import DomainError
 from irvsim.exactk3 import density_k3
+from irvsim.experiments import RunSpec
 from irvsim.tabulate import Rule, shares_batch
 
 
@@ -101,14 +101,14 @@ def test_spacing_blocks_stream_the_one_shot_spacings(n, blocks):
 
 
 def _chunk_rngs(monkeypatch):
-    """Copies of the (trials, rng) that each chunk of the next experiment receives."""
+    """Copies of the (rows, rng) that each chunk of the next experiment receives."""
     chunks = []
     map_chunks = asymptotics.map_chunks
 
     def keep(fn, *args, **kwargs):
-        def chunk(index, chunk_trials, rng):
-            chunks.append((chunk_trials, copy.deepcopy(rng)))
-            return fn(index, chunk_trials, rng)
+        def chunk(rows, rng):
+            chunks.append((rows, copy.deepcopy(rng)))
+            return fn(rows, rng)
         return map_chunks(chunk, *args, **kwargs)
 
     monkeypatch.setattr(asymptotics, "map_chunks", keep)
@@ -123,12 +123,14 @@ def test_kernels_match_one_shot_spacings(block_draws, monkeypatch):
     chunks = _chunk_rngs(monkeypatch)
     share = winning_share_experiment(n - 1, trials, 3).statistics
     center = math.log(n) + math.log(math.log(n))
-    ref = [2.0 * n * _gap_shares(spacings(n, t, rng)).max(axis=1) - center for t, rng in chunks]
+    ref = [2.0 * n * _gap_shares(spacings(n, rows.stop - rows.start, rng)).max(axis=1) - center
+           for rows, rng in chunks]
     assert len(chunks) == 3
     np.testing.assert_array_equal(share, np.concatenate(ref))
     chunks.clear()
     top = max_gap_experiment(n, trials, 3).statistics
-    ref = [n * spacings(n, t, rng).max(axis=1) - math.log(n) for t, rng in chunks]
+    ref = [n * spacings(n, rows.stop - rows.start, rng).max(axis=1) - math.log(n)
+           for rows, rng in chunks]
     np.testing.assert_array_equal(top, np.concatenate(ref))
 
 
@@ -189,30 +191,39 @@ def test_circle_coupling_rate_decreases():
     assert r1000 < r10
 
 
+def _uniform_elections(rule, k, trials, seed):
+    """Winner positions and IRV zone violations from the drivers' election kernel."""
+    d = Uniform()
+    results, violations = experiments._elections(
+        RunSpec(trials, seed), f"winner-uniformity/{rule.value}/k={k}", d, k, (rule,),
+        zones.zone_closed_form(d))
+    return results[rule][0], violations
+
+
 def test_winner_uniformity_plurality():
-    res = winner_uniformity_experiment(Rule.PLURALITY, 1000, 2000, Uniform(), 6)
-    assert res.ks_vs_uniform <= 0.06
+    winners, _ = _uniform_elections(Rule.PLURALITY, 1000, 2000, 6)
+    assert ks_statistic(winners, lambda x: x) <= 0.06
 
 
 def test_winner_uniformity_k1_exactly_uniform():
-    res = winner_uniformity_experiment(Rule.PLURALITY, 1, 5000, Uniform(), 7)
-    assert res.ks_vs_uniform <= 0.03  # winner = the single uniform draw
+    winners, _ = _uniform_elections(Rule.PLURALITY, 1, 5000, 7)
+    assert ks_statistic(winners, lambda x: x) <= 0.03  # winner = the single uniform draw
 
 
 def test_irv_winners_stay_inside_zone():
-    res = winner_uniformity_experiment(Rule.IRV, 100, 2000, Uniform(), 8)
-    outside = np.sum((res.winner_positions < 1 / 6) | (res.winner_positions > 5 / 6))
-    assert outside == 0
+    winners, violations = _uniform_elections(Rule.IRV, 100, 2000, 8)
+    assert not violations.any()
+    assert not np.any((winners < 1 / 6) | (winners > 5 / 6))
 
 
 def test_uniformity_zone_check_fails_on_a_faulty_tabulator(monkeypatch):
     # Elect the leftmost candidate: with k = 100 it lies below 1/6 in nearly
-    # every trial, so the per-trial zone check must raise.
+    # every trial, so the per-trial zone check must flag it.
     monkeypatch.setattr(tabulate, "irv_batch", lambda pos, d, mid_cdf=None: (
         pos[:, 0], np.zeros(pos.shape[0], dtype=bool)
     ))
-    with pytest.raises(CheckFailed):
-        winner_uniformity_experiment(Rule.IRV, 100, 2000, Uniform(), 8)
+    _, violations = _uniform_elections(Rule.IRV, 100, 2000, 8)
+    assert violations.mean() > 0.9
 
 
 @pytest.mark.parametrize("k", [*range(1, 13), 100_000])
@@ -227,9 +238,7 @@ def test_gap_shares_match_shares_of_cumsum_positions(k):
     lambda threads: winning_share_experiment(100_000, 100, 9, threads).statistics,
     lambda threads: max_gap_experiment(100_000, 100, 9, threads).statistics,
     lambda threads: circle_coupling_experiment(100_000, 100, 9, threads),
-    lambda threads: winner_uniformity_experiment(
-        Rule.PLURALITY, 1000, 3000, Uniform(), 9, threads).winner_positions,
-], ids=["share", "maxgap", "circle", "uniformity"])
+], ids=["share", "maxgap", "circle"])
 def test_experiments_do_not_depend_on_threads(run, monkeypatch):
     single = run(1)
     np.testing.assert_array_equal(single, run(2))
@@ -239,7 +248,7 @@ def test_experiments_do_not_depend_on_threads(run, monkeypatch):
     map_chunks = asymptotics.map_chunks
 
     def last_to_first(fn, *args, **kwargs):
-        chunks.extend(map_chunks(lambda *chunk: chunk, *args, **kwargs))  # (index, trials, rng)
+        chunks.extend(map_chunks(lambda *chunk: chunk, *args, **kwargs))  # (rows, rng)
         return [fn(*chunk) for chunk in reversed(chunks)][::-1]
 
     monkeypatch.setattr(asymptotics, "map_chunks", last_to_first)

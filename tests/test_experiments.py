@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import irvsim
 from irvsim import cli, experiments, tabulate, zones
+from irvsim.chunks import map_chunks
 from irvsim.dist import Uniform
 from irvsim.errors import CheckFailed, DomainError
 from irvsim.experiments import (
@@ -36,6 +38,14 @@ def test_config_validation():
         RunSpec(0, 1)
     with pytest.raises(DomainError, match="threads must be >= 1"):
         RunSpec(10, 1, threads=0)
+    with pytest.raises(DomainError, match="trials must be an integer, got 10.5"):
+        RunSpec(10.5, 0)
+    with pytest.raises(DomainError, match="master seed must be an integer, got 1.5"):
+        RunSpec(10, 1.5)
+    with pytest.raises(DomainError, match="threads must be an integer, got 1.5"):
+        RunSpec(10, 0, threads=1.5)
+    assert RunSpec(np.int64(10), np.uint8(1)) == RunSpec(10, 1)
+    assert type(RunSpec(np.int64(10), 1).trials) is int
     assert RunSpec(10, 1) == RunSpec(10, 1, threads=1, out_dir=None)
     with pytest.raises(DomainError, match="k must be >= 1"):
         run_winner_histograms([3, 0], rules=tuple(Rule), dist="uniform", run=_RUN)
@@ -43,6 +53,8 @@ def test_config_validation():
         run_scatter([0], dist="uniform", run=_RUN)
     with pytest.raises(DomainError, match="k must be >= 1"):
         run_beta_sweep([2.0], 0, run=_RUN)
+    with pytest.raises(DomainError, match="k must be an integer, got 3.5"):
+        run_scatter([3.5], dist="uniform", run=_RUN)
     with pytest.raises(DomainError, match="nope"):
         run_winner_histograms([3], rules=tuple(Rule), dist="nope", run=_RUN)
     with pytest.raises(DomainError, match="beta:abc"):
@@ -65,6 +77,25 @@ def test_chunk_rng_rejects_a_negative_master_seed():
         chunk_rng(-1, "exp", 0)
     with pytest.raises(DomainError, match="master seed must be >= 0"):
         run_scatter([3], dist="uniform", run=RunSpec(10, -1))
+
+
+@pytest.mark.parametrize("draws_per_trial", [None, 1, 1000, 10 ** 6 + 1])
+@pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_map_chunks_hands_each_chunk_its_rows(trials, draws_per_trial):
+    # The streams depend on these sizes: 4096 trials, or 10**6 draws, per chunk.
+    size = 4096 if draws_per_trial is None else max(1, 10 ** 6 // draws_per_trial)
+    chunks = map_chunks(lambda rows, rng: (rows, rng.random(3)), 5, "tile", trials,
+                        draws_per_trial=draws_per_trial)
+    assert [rows for rows, _ in chunks] == [slice(start, min(start + size, trials))
+                                            for start in range(0, trials, size)]
+    for i, (_, draws) in enumerate(chunks):
+        assert np.array_equal(draws, chunk_rng(5, "tile", i).random(3))
+
+
+@pytest.mark.parametrize("trials", [0, -1, 1.5])
+def test_map_chunks_rejects_a_bad_trial_count(trials):
+    with pytest.raises(DomainError, match="trials must be"):
+        map_chunks(lambda rows, rng: None, 5, "tile", trials)
 
 
 def test_write_csv_round_trip(tmp_path):
@@ -273,6 +304,28 @@ def test_chunks_fill_their_own_rows_under_thread_contention():
     assert np.array_equal(expected[1], got[1])
 
 
+def test_elections_do_not_depend_on_chunk_order(monkeypatch):
+    # Threads may finish chunks in any order: running them last to first
+    # must give the same arrays, because each chunk fills its own rows from its own RNG.
+    d = Uniform()
+    args = (RunSpec(3 * 4096 + 5, 9), "order", d, 5, tuple(Rule), zones.zone_closed_form(d))
+    expected = experiments._elections(*args)
+    map_chunks_ = experiments._map_chunks
+    chunks = []
+
+    def last_to_first(fn, *a, **kw):
+        chunks.extend(map_chunks_(lambda *chunk: chunk, *a, **kw))  # (rows, rng)
+        return [fn(*chunk) for chunk in reversed(chunks)][::-1]
+
+    monkeypatch.setattr(experiments, "_map_chunks", last_to_first)
+    got = experiments._elections(*args)
+    assert len(chunks) == 4
+    for rule in Rule:
+        for want, have in zip(expected[0][rule], got[0][rule]):
+            assert np.array_equal(want, have)
+    assert np.array_equal(expected[1], got[1])
+
+
 def test_manifest_records_library_versions(tmp_path):
     # numpy is the one runtime dependency; the random streams come from it.
     path = RunManifest({"seed": 1}).write(tmp_path / "run.csv")
@@ -432,6 +485,8 @@ def test_verify_rejects_a_negative_seed_before_any_check(monkeypatch):
     monkeypatch.setattr(experiments, "_check", lambda *args: ran.append(args))
     with pytest.raises(DomainError, match="master seed must be >= 0"):
         run_verify(-1)
+    with pytest.raises(DomainError, match="master seed must be an integer, got 1.5"):
+        run_verify(1.5)
     assert ran == []
 
 
@@ -475,6 +530,18 @@ def test_verify_fails_under_python_O():
     assert proc.returncode == 2, proc.stderr
     checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
     assert checks["uniform-zone-sweep"]["detail"].startswith("CheckFailed:")
+
+
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements, so a check written as one would pass silently.
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "irvsim").glob("*.py"))
+    assert len(paths) >= 10
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -175,7 +175,7 @@ def test_irv_discrete_matches_continuous():
 def test_batch_agrees_with_scalar():
     rng = np.random.default_rng(4)
     pos = sample_sorted_positions(U, 5, 200, rng)
-    wp, _, _ = plurality_batch(pos, U)
+    wp, _ = plurality_batch(pos, U)
     wr, _ = irv_batch(pos, U)
     for i in range(200):
         prof = Profile(pos[i])
@@ -193,7 +193,7 @@ def test_shares_batch_rows_sum_to_one():
 
 def test_batch_tie_flags():
     pos = np.array([[0.25, 0.75]])  # exact 0.5/0.5 split
-    _, _, tie = plurality_batch(pos, U)
+    _, tie = plurality_batch(pos, U)
     assert tie[0]
     _, tie_r = irv_batch(pos, U)
     assert tie_r[0]
@@ -268,6 +268,6 @@ def test_irv_batch_matches_scalar_tabulator(name, rows):
 def test_winners_dispatch():
     rng = np.random.default_rng(12)
     pos = sample_sorted_positions(U, 6, 300, rng)
-    wp, _, tie_p = plurality_batch(pos, U)
+    wp, tie_p = plurality_batch(pos, U)
     assert all(np.array_equal(a, b) for a, b in zip(winners(Rule.PLURALITY, pos, U), (wp, tie_p)))
     assert all(np.array_equal(a, b) for a, b in zip(winners(Rule.IRV, pos, U), irv_batch(pos, U)))
