@@ -60,6 +60,7 @@ def map_chunks(fn, seed: int, experiment_id: str, trials: int, threads: int = 1,
     given `draws_per_trial`; only the last may hold fewer.
     """
     trials = check_int("trials", trials, 1)
+    threads = check_int("threads", threads, 1)
     size = (TRIALS_PER_CHUNK if draws_per_trial is None
             else max(1, DRAWS_PER_CHUNK // draws_per_trial))
     args = [(slice(start, min(start + size, trials)), chunk_rng(seed, experiment_id, i))

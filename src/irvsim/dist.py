@@ -221,13 +221,15 @@ class SymmetricBeta(VoterDistribution):
 
         It solves F(q) = min(p, 1 - p) on [0, 1/2] and mirrors. It starts
         from the small-q law F(q) ~ Q(0) (4q)^alpha, which is exact to
-        rounding below 2^-60; such starts are kept as they are.
+        rounding below 2^-60; such starts are kept as they are. A value settles
+        once a step moves it by at most an ulp, so it does not depend on the
+        rest of its batch; a scalar p is solved as a batch of one.
         """
         p = _check_unit_interval(p, "p")
         if self.alpha == 1.0:
             return p if p.ndim else float(p)
         a = self.alpha
-        r = np.minimum(p, 1.0 - p)  # exact: 1 - p is exact for p >= 1/2
+        r = np.minimum(p, 1.0 - p).ravel()  # exact: 1 - p is exact for p >= 1/2
         q = np.minimum((r / _beta_table(a)[3]) ** (1.0 / a) / 4.0, 0.5)
         settled = q < 2.0**-60
         lo, hi = np.zeros_like(r), np.full_like(r, 0.5)
@@ -239,13 +241,15 @@ class SymmetricBeta(VoterDistribution):
             # it strides where F is a steep power, and near it is plain Newton.
             with np.errstate(all="ignore"):
                 step = q - np.log1p((f - r) / r) * f / self.density(q)
-            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            # A step that rounds back onto q has converged, even at a bracket end.
+            near = np.abs(step - q) <= 2.0**-52 * q
+            step = np.where(near | (step > lo) & (step < hi), step, 0.5 * (lo + hi))
             step = np.where(settled | (f == r), q, step)
-            done = np.all(np.abs(step - q) <= 2.0**-52 * step)
+            settled |= near | (np.abs(step - q) <= 2.0**-52 * step)
             q = step
-            if done:
+            if np.all(settled):
                 break
-        q = np.where(p > 0.5, 1.0 - q, q)
+        q = np.where(p.ravel() > 0.5, 1.0 - q, q).reshape(p.shape)
         return q if p.ndim else float(q)
 
     def sample(self, rng, size=None):

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import Monotonicity, Uniform, VoterDistribution
+from .dist import Monotonicity, VoterDistribution
 from .errors import (
     DomainError,
     NoZoneError,
@@ -160,26 +160,31 @@ def zone_closed_form(d: VoterDistribution) -> ExclusionZone:
     )
 
 
-def min_zone_numeric(d: VoterDistribution, tol: float = 1e-6) -> ExclusionZone:
+# min_zone_numeric checks c = _SEARCH_LO once, then bisects [_SEARCH_LO, 1/2]
+# down to width _SEARCH_TOL.
+_SEARCH_LO = 1e-6
+_SEARCH_TOL = 1e-6
+
+
+def min_zone_numeric(d: VoterDistribution) -> ExclusionZone:
     """Smallest verified zone: the largest c at which the squeeze condition holds.
 
-    Scans c downward (no monotonicity in c is assumed) until the condition
-    first holds, then bisects the bracket to width `tol`. The returned c is
-    itself verified; it is an upper bound on the true minimal zone boundary.
+    The condition is monotone in c. Take c1 < c2 with g_c2 > 1/3 on [c2, 1/2].
+    For x in [c2, 1/2], F is nondecreasing, so each term of g moves the right
+    way as c falls: g_c1(x) >= g_c2(x) > 1/3. For x in [c1, c2), the first
+    term is at least F(1/2) = 1/2, F being symmetric, and the second at most
+    F(c2), so g_c1(x) >= 1/2 - F(c2) = g_c2(c2) > 1/3. Also g_c(c) = 1/2 - F(c),
+    so the condition fails wherever F(c) >= 1/6, at c = 1/2 among others.
+
+    So one check at c = _SEARCH_LO decides whether a zone exists, and
+    bisection between it and 1/2 finds the boundary to width _SEARCH_TOL.
+    The returned c is one at which check_condition passed; it is an upper
+    bound on the true minimal zone boundary.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    scan = np.linspace(0.5 - 1e-6, 1e-6, 400)
-    lo = None
-    hi = 0.5
-    for c in scan:
-        if check_condition(d, float(c)).satisfied:
-            lo = float(c)
-            break
-        hi = float(c)
-    if lo is None:
+    lo, hi = _SEARCH_LO, 0.5
+    if not check_condition(d, lo).satisfied:
         raise NoZoneError("no c in (0, 1/2) satisfies the vote-share condition")
-    while hi - lo > tol:
+    while hi - lo > _SEARCH_TOL:
         mid = 0.5 * (lo + hi)
         if check_condition(d, mid).satisfied:
             lo = mid
@@ -222,13 +227,14 @@ def tightness_profile(c: float, k: int, eps: float | None = None) -> Profile:
 
 
 def _merge_positions(positions, new_points) -> list:
-    """Union of position lists, dropping near-collisions with existing points."""
-    merged = sorted(positions)
-    out = list(merged)
-    for x in new_points:
-        if all(abs(x - p) > 1e-12 for p in merged):
-            out.append(float(x))
-    return sorted(out)
+    """Sorted union of the positions and those new points farther than 1e-12 from all of them."""
+    old = np.sort(np.asarray(positions, dtype=float))
+    new = np.asarray(new_points, dtype=float)
+    i = np.searchsorted(old, new)
+    # The nearest existing point on either side is the closest one.
+    keep = ((np.abs(new - old[np.maximum(i - 1, 0)]) > 1e-12)
+            & (np.abs(new - old[np.minimum(i, old.size - 1)]) > 1e-12))
+    return np.sort(np.concatenate([old, new[keep]])).tolist()
 
 
 _FLOOD_CAP = 1_000_000  # cap on added candidates, guards degenerate densities
@@ -249,76 +255,48 @@ def force_plurality_winner(
     if x1 in (0.0, 1.0):
         raise UnconstructibleError("cannot force a win for a candidate at 0 or 1")
 
-    positions = [float(p) for p in targets.sorted_positions]
+    positions = targets.sorted_positions
 
-    if isinstance(d, Uniform):
-        positions = _merge_positions(positions, [0.0, 1.0])
-        i = positions.index(x1)
-        xl, xr = positions[i - 1], positions[i + 1]
-        vl, vr = (x1 - xl) / 2.0, (xr - x1) / 2.0
-        s = 0.5 * min(vl, vr)
-        if s * _FLOOD_CAP < 1.0:
-            raise UnconstructibleError("flood cap exceeded")
-        new = []
-        if xl > 0:
-            new.extend(np.arange(xl - s, 0.0, -s))
-        if xr < 1:
-            new.extend(np.arange(xr + s, 1.0, s))
-        positions = _merge_positions(positions, new)
-    else:
-        # Shrink delta until the density varies by < f(x1)/4 on the bracket
-        # and the bracket contains no other candidate.
-        f1 = float(d.density(x1))
-        if f1 <= 0:
-            raise UnconstructibleError("target sits at a density zero")
-        others = [p for p in positions if p != x1]
-        delta = min(x1, 1.0 - x1) / 2.0
-        if others:
-            nearest = min(abs(p - x1) for p in others)
-            delta = min(delta, nearest / 2.0)
-        while True:
-            t = np.linspace(x1 - delta, x1 + delta, 201)
-            if np.max(np.abs(np.asarray(d.density(t)) - f1)) < f1 / 4.0:
-                break
-            delta /= 2.0
-            if delta < 1e-12:
-                raise UnconstructibleError("could not find a flat density bracket")
-        left, right = x1 - delta, x1 + delta
-        positions = [p for p in positions if not (left < p < right) or p == x1]
-        positions = _merge_positions(positions, [left, right])
+    # Shrink delta until the density varies by < f(x1)/4 on the bracket. Half
+    # the distance to the nearest candidate keeps any other out of the bracket.
+    f1 = float(d.density(x1))
+    if f1 <= 0:
+        raise UnconstructibleError("target sits at a density zero")
+    delta = min(x1, 1.0 - x1, *(abs(p - x1) for p in positions if p != x1)) / 2.0
+    while True:
+        t = np.linspace(x1 - delta, x1 + delta, 201)
+        if np.max(np.abs(np.asarray(d.density(t)) - f1)) < f1 / 4.0:
+            break
+        delta /= 2.0
+        if delta < 1e-12:
+            raise UnconstructibleError("could not find a flat density bracket")
+    left, right = x1 - delta, x1 + delta
+    positions = _merge_positions(positions, [left, right])
 
-        # Target and bracket shares with the bracket in place.
-        v_target = float(d.cdf((x1 + right) / 2.0)) - float(d.cdf((left + x1) / 2.0))
-        v_left_inner = float(d.cdf((left + x1) / 2.0)) - float(d.cdf(left))
-        v_right_inner = float(d.cdf(right)) - float(d.cdf((x1 + right) / 2.0))
-        margin = v_target - max(v_left_inner, v_right_inner)  # > 0 by delta choice
-        if margin <= 0:
-            raise UnconstructibleError("density bracket failed to isolate the target")
-        # Equal-mass candidate spacing on each flank: every gap outside the
-        # bracket carries mass <= m, so every flank share stays below 3m/2.
-        m = 0.4 * min(margin, v_target)
-        mass_left = float(d.cdf(left))
-        mass_right = 1.0 - float(d.cdf(right))
-        n_left = int(np.ceil(mass_left / m))
-        n_right = int(np.ceil(mass_right / m))
-        if n_left + n_right > _FLOOD_CAP:
-            raise UnconstructibleError("flood cap exceeded")
-        new = []
-        if n_left > 1:
-            p = np.arange(1, n_left) * (mass_left / n_left)
-            new.extend(np.asarray(d.quantile(p)))
-        if n_right > 1:
-            p = 1.0 - np.arange(1, n_right) * (mass_right / n_right)
-            new.extend(np.asarray(d.quantile(p)))
-        positions = _merge_positions(positions, new)
+    # Target and bracket shares with the bracket in place.
+    v_target = float(d.cdf((x1 + right) / 2.0)) - float(d.cdf((left + x1) / 2.0))
+    v_left_inner = float(d.cdf((left + x1) / 2.0)) - float(d.cdf(left))
+    v_right_inner = float(d.cdf(right)) - float(d.cdf((x1 + right) / 2.0))
+    margin = v_target - max(v_left_inner, v_right_inner)  # > 0 by delta choice
+    if margin <= 0:
+        raise UnconstructibleError("density bracket failed to isolate the target")
+    # Equal-mass candidate spacing on each flank: every gap outside the
+    # bracket carries mass <= m, so every flank share stays below 3m/2.
+    m = 0.4 * min(margin, v_target)
+    mass_left = float(d.cdf(left))
+    mass_right = 1.0 - float(d.cdf(right))
+    n_left = int(np.ceil(mass_left / m))
+    n_right = int(np.ceil(mass_right / m))
+    if n_left + n_right > _FLOOD_CAP:
+        raise UnconstructibleError("flood cap exceeded")
+    p_left = np.linspace(0.0, mass_left, n_left + 1)[1:-1]
+    p_right = 1.0 - np.linspace(0.0, mass_right, n_right + 1)[1:-1]
+    new = np.concatenate([d.quantile(p_left), d.quantile(p_right)])
+    positions = _merge_positions(positions, new)
 
     result = Profile(positions)
-    if not _verify_strict_winner(result, x1, d):
+    shares = vote_shares(result, d)
+    ti = int(np.searchsorted(result.sorted_positions, x1))
+    if not np.all(np.delete(shares, ti) < shares[ti]):
         raise UnconstructibleError("construction failed to make the target win")
     return result
-
-
-def _verify_strict_winner(prof: Profile, x1: float, d: VoterDistribution) -> bool:
-    shares = vote_shares(prof, d)
-    ti = int(np.searchsorted(prof.sorted_positions, x1))
-    return bool(np.all(np.delete(shares, ti) < shares[ti]))

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from irvsim import dist
 from irvsim.asymptotics import ks_statistic
 from irvsim.dist import (
     Monotonicity,
@@ -162,6 +163,26 @@ def test_beta_quantile_inverts_cdf(alpha):
     x = x[(p >= 1e-6) & (p <= 1 - 1e-6)]  # where float64 resolves F
     assert np.max(np.abs(d.quantile(d.cdf(x)) - x)) <= 1e-12
     assert d.quantile(0.0) == 0.0 and d.quantile(1.0) == 1.0
+
+
+@pytest.mark.parametrize("alpha", (0.3, 2.0, 5.0, 30.0))
+def test_beta_quantile_of_a_batch_matches_scalar_calls(alpha, monkeypatch):
+    d = SymmetricBeta(alpha)
+    p = np.random.default_rng(3).random(10_000)
+    passes = []
+    beta_cdf = dist._beta_cdf
+
+    def counted(a, x):
+        passes.append(x.size)
+        return beta_cdf(a, x)
+
+    monkeypatch.setattr(dist, "_beta_cdf", counted)
+    q = d.quantile(p)
+    # A value settles once its step moves it by an ulp, even at a bracket end,
+    # so no value waits on, or is moved by, the rest of its batch.
+    assert len(passes) <= 12
+    assert q[:300].tolist() == [d.quantile(x) for x in p[:300].tolist()]
+    assert np.array_equal(q[::-1], d.quantile(p[::-1]))
 
 
 @pytest.mark.parametrize("alpha", BETA_ORACLE_ALPHAS + (20.5,))

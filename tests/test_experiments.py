@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irvsim
-from irvsim import cli, experiments, tabulate, zones
+from irvsim import asymptotics, cli, experiments, tabulate, zones
 from irvsim.chunks import map_chunks
 from irvsim.dist import Uniform
 from irvsim.errors import CheckFailed, DomainError
@@ -96,6 +96,14 @@ def test_map_chunks_hands_each_chunk_its_rows(trials, draws_per_trial):
 def test_map_chunks_rejects_a_bad_trial_count(trials):
     with pytest.raises(DomainError, match="trials must be"):
         map_chunks(lambda rows, rng: None, 5, "tile", trials)
+
+
+@pytest.mark.parametrize("threads", [1.5, 0, -2])
+def test_map_chunks_rejects_a_bad_thread_count(threads):
+    with pytest.raises(DomainError, match="threads must be"):
+        map_chunks(lambda rows, rng: None, 5, "tile", 10, threads)
+    with pytest.raises(DomainError, match="threads must be"):
+        asymptotics.max_gap_experiment(10, 1000, 0, threads=threads)
 
 
 def test_write_csv_round_trip(tmp_path):

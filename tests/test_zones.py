@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from irvsim import tabulate
+from irvsim import tabulate, zones
 from irvsim.dist import SymmetricBeta, Tabulated, Uniform
-from irvsim.errors import DomainError, UnconstructibleError, UnsupportedRegimeError
+from irvsim.errors import (
+    DomainError,
+    NoZoneError,
+    UnconstructibleError,
+    UnsupportedRegimeError,
+)
 from irvsim.tabulate import Profile, Rule, irv_winner, plurality_winner, vote_shares
 from irvsim.zones import (
     ExclusionZone,
@@ -130,7 +135,7 @@ def test_condition_check_domain():
 
 
 def test_numeric_matches_closed_form_uniform():
-    z = min_zone_numeric(U, tol=1e-6)
+    z = min_zone_numeric(U)
     assert z.c == pytest.approx(1 / 6, abs=2e-6)
 
 
@@ -139,7 +144,7 @@ def test_numeric_matches_closed_form_beta2():
     # search lands on the same c.
     d = SymmetricBeta(2.0)
     z_closed = zone_closed_form(d)
-    z_num = min_zone_numeric(d, tol=1e-6)
+    z_num = min_zone_numeric(d)
     assert z_num.c == pytest.approx(z_closed.c, abs=1e-5)
 
 
@@ -168,9 +173,71 @@ def test_non_monotone_density_needs_numeric():
     d = Tabulated(grid, bump)
     with pytest.raises(UnsupportedRegimeError):
         zone_closed_form(d)
-    z = min_zone_numeric(d, tol=1e-4)
+    z = min_zone_numeric(d)
     assert 0.0 < z.c < 0.5
     assert check_condition(d, z.c).satisfied
+
+
+def _two_humps():
+    grid = np.linspace(0, 1, 101)
+    return Tabulated(grid, 1.0 + 0.5 * np.cos(4 * np.pi * grid))
+
+
+def _cos_squared():
+    # The density table of the benchmark's custom-electorate workload.
+    grid = np.arange(201) / 200
+    return Tabulated(grid, 0.4 + np.cos(2 * np.pi * grid) ** 2)
+
+
+# Each distribution with the c that the earlier scan-then-bisect search found.
+SEARCH_CASES = [
+    (U, 0.16666638812118187),
+    (SymmetricBeta(2.0), 0.2591488120888158),
+    (SymmetricBeta(0.8), 0.12062923772321428),
+    (SymmetricBeta(5.0), 0.3469815689174107),
+    (SymmetricBeta(0.6), 0.050826102149906),
+    (_cos_squared(), 0.12249302060326597),
+    (_two_humps(), 0.12694199148995536),
+]
+SEARCH_IDS = ["uniform", "beta2", "beta0.8", "beta5", "beta0.6", "cos-squared", "two-humps"]
+
+
+@pytest.mark.parametrize("d", [d for d, _ in SEARCH_CASES], ids=SEARCH_IDS)
+def test_squeeze_condition_is_monotone_in_c(d):
+    # What min_zone_numeric's bisection rests on: once the condition holds
+    # at some c, it holds at every smaller c.
+    held = [check_condition(d, float(c)).satisfied for c in np.linspace(1e-6, 0.5 - 1e-6, 200)]
+    assert held[0] and not held[-1]
+    assert held == sorted(held, reverse=True)
+
+
+@pytest.mark.parametrize("d, c", SEARCH_CASES, ids=SEARCH_IDS)
+def test_min_zone_numeric_is_one_bisection(d, c, monkeypatch):
+    calls = []
+
+    def counted(d, c):
+        calls.append(c)
+        return check_condition(d, c)
+
+    monkeypatch.setattr(zones, "check_condition", counted)
+    z = min_zone_numeric(d)
+    assert z.c == pytest.approx(c, abs=2e-6)
+    assert z.regime is Regime.GENERAL_NUMERIC
+    assert len(calls) <= 21 and z.c in calls
+    assert check_condition(d, z.c).satisfied
+
+
+def test_min_zone_numeric_without_a_zone_checks_once(monkeypatch):
+    calls = []
+
+    def counted(d, c):
+        calls.append(c)
+        return check_condition(d, c)
+
+    monkeypatch.setattr(zones, "check_condition", counted)
+    with pytest.raises(NoZoneError):
+        min_zone_numeric(SymmetricBeta(0.3))
+    assert len(calls) == 1
 
 
 def test_small_k_counterexample_behaviour():
@@ -222,6 +289,17 @@ def test_force_plurality_winner_beta():
         shares = vote_shares(prof, d)
         wi = int(np.argmax(shares))
         assert prof.sorted_positions[wi] == pytest.approx(x1, abs=1e-12)
+
+
+def test_merge_positions_matches_the_pairwise_loop():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        old = rng.random(int(rng.integers(1, 8)))
+        # Random new points, and points on, just inside and just outside 1e-12 of old ones.
+        near = old[rng.integers(0, old.size, 4)] + np.array([0.0, 5e-13, -5e-13, 2e-12])
+        new = np.concatenate([rng.random(int(rng.integers(0, 50))), near])
+        kept = [x for x in new.tolist() if all(abs(x - p) > 1e-12 for p in old.tolist())]
+        assert zones._merge_positions(old, new) == sorted(old.tolist() + kept)
 
 
 def test_force_plurality_winner_rejects_endpoints():
