@@ -8,17 +8,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# When numpy loads, its bundled OpenBLAS starts a pool of worker threads that
+# spin for about 0.14 s of CPU, and irvsim's only BLAS call is one 9 x 9 solve
+# per Beta table. So a CLI process pins the pool to one thread before numpy
+# loads; a value the user set wins. The package __init__ loads no numpy, so
+# this line runs first; library code that imports irvsim keeps its own setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import asymptotics, exactk3, experiments, zones
-from .dist import parse_dist_spec
-from .errors import IrvsimError
-from .experiments import RunManifest, RunSpec, write_csv
-from .tabulate import Rule
+import numpy as np  # noqa: E402
+
+from . import asymptotics, exactk3, experiments, zones  # noqa: E402
+from .dist import parse_dist_spec  # noqa: E402
+from .errors import IrvsimError  # noqa: E402
+from .experiments import RunManifest, RunSpec, write_csv  # noqa: E402
+from .tabulate import Rule  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,16 +208,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        out = getattr(args, "out", None)
-        if args.command == "gumbel" and args.mode == "circle" and out is not None:
+        if args.command == "gumbel" and args.mode == "circle" and args.out is not None:
             parser.error("argument --out: gumbel --mode circle writes no file")
     except SystemExit as exc:
         return int(exc.code or 0)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.command](args)
-    except IrvsimError as exc:
+    except (IrvsimError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"irvsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

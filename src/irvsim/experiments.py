@@ -88,11 +88,18 @@ class RunManifest:
         return RunManifest(**{"libraries": {}, **data})
 
 
+def _create(path: Path):
+    """Open `path` for writing, first creating its directory and any missing parents."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "wb")
+
+
 def _atomic_write(path: Path, pieces):
     """Write the bytes `pieces` to a temp file and rename it over `path`; on failure remove it."""
     tmp = path.with_name(path.name + ".tmp")
+    fh = _create(tmp)
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
@@ -238,8 +245,10 @@ class _CsvFiles:
     `commit(manifest)` renames every tmp file over its name and writes its
     manifest after it. Leaving the `with` block without a commit, as a
     raising run does, removes the tmp files, so a failed run leaves no CSV.
-    With no directory, `append` writes nothing. `seconds` is the time spent
-    writing, which duration_seconds leaves out.
+    The directory is created when the first file is opened, so a run
+    rejected before it writes leaves none. With no directory, `append`
+    writes nothing. `seconds` is the time spent writing, which
+    duration_seconds leaves out.
     """
 
     def __init__(self, out_dir):
@@ -273,7 +282,7 @@ class _CsvFiles:
         )
         fh = self._open.get(name)
         if fh is None:
-            fh = self._open[name] = open(self._tmp(name), "wb")
+            fh = self._open[name] = _create(self._tmp(name))
             fh.write((",".join(header) + "\n").encode())
         fh.writelines(_csv_blocks(columns))
         self.seconds += time.monotonic() - t0

@@ -515,10 +515,16 @@ def test_oracle_check_sound_across_seeds(seed):
     assert detail["checked"] == detail["agreed"] == 30
 
 
-def _run_python(flags, code):
+def _run_python(flags, code, **environ):
+    """Run `code` in a fresh interpreter; `environ` sets variables, None unsets one."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for name, value in environ.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
         timeout=300,
@@ -570,6 +576,72 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = _run_python([], code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    code = (
+        "import contextlib, io, sys\n"
+        "from irvsim import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--seed', '0']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = _run_python([], code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# Start-up: the package loads no numpy, and a CLI process pins OpenBLAS to one
+# thread before numpy loads unless the user set OPENBLAS_NUM_THREADS.
+_THREADS = (
+    "import os\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "task = '/proc/self/task'\n"
+    "print(len(os.listdir(task)) if os.path.isdir(task) else 'unknown')\n"
+)
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, irvsim\nprint('numpy' in sys.modules)\n" + _THREADS
+    proc = _run_python([], code, OPENBLAS_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:2] == ["False", "None"]
+
+
+def test_cli_import_pins_openblas_to_one_thread():
+    proc = _run_python([], "import irvsim.cli\n" + _THREADS, OPENBLAS_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == "1"
+    if threads == "unknown":
+        pytest.skip("no /proc/self/task to count the process's threads (not Linux)")
+    assert threads == "1"
+
+
+def test_cli_import_keeps_a_user_openblas_setting():
+    proc = _run_python([], "import irvsim.cli\n" + _THREADS, OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "2"
+
+
+def test_package_exports_resolve_lazily():
+    code = (
+        "import irvsim\n"
+        "values = {name: getattr(irvsim, name) for name in irvsim.__all__}\n"
+        "namespace = {}\n"
+        "exec('from irvsim import *', namespace)\n"
+        "assert all(namespace[name] is value for name, value in values.items())\n"
+        "assert set(irvsim.__all__) <= set(dir(irvsim))\n"
+        "assert irvsim.zones.zone_closed_form is irvsim.zone_closed_form\n"
+        "try:\n"
+        "    irvsim.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = _run_python([], code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "module 'irvsim' has no attribute 'no_such_name'"
+    assert len(irvsim.__all__) == len(set(irvsim.__all__)) > 40
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +699,13 @@ def test_cli_usage_error_exit_code():
     (["betasweep", "--alpha", "inf", "--k", "5", "--trials", "10"],
      "alpha must be positive and finite"),
     (["zone", "--dist", "beta:inf"], "alpha must be positive and finite"),
+    # An --out that cannot be a directory, and a rejected run that would have made one.
+    (["simulate", "--out", "empty.csv", "--trials", "10"], "empty.csv"),
+    (["simulate", "--out", "empty.csv/sub", "--trials", "10"], "empty.csv/sub"),
+    (["verify", "--out", "empty.csv"], "empty.csv"),
+    pytest.param(["simulate", "--out", "x" * 300, "--trials", "10"], "x" * 300,
+                 id="out-name-too-long"),
+    (["simulate", "--out", "D/sub", "--trials", "0"], "trials must be >= 1"),
 ])
 def test_cli_bad_input_exits_1_with_message(argv, named, tmp_path, monkeypatch, capsys,
                                             recwarn):

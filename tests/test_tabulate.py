@@ -138,6 +138,38 @@ def test_sample_ballots_draws_region_counts_not_voters():
     assert sum(ballots.values()) == 1000
 
 
+class _RecordsCdf(Uniform):
+    def __init__(self):
+        self.seen = []
+
+    def cdf(self, x):
+        self.seen.append(np.array(x, copy=True))
+        return super().cdf(x)
+
+
+def test_sample_ballots_edges_equal_np_unique_bisectors():
+    # The region edges are 0, the distinct pairwise bisectors in order, and 1,
+    # bit for bit as np.unique gives them, also where bisectors coincide.
+    rng = np.random.default_rng(7)
+    profiles = [np.sort(rng.random(k)) for k in (2, 3, 5, 8, 13) for _ in range(20)]
+    # Positions on a grid of eighths share many bisectors.
+    profiles += [np.sort(rng.choice(9, k, replace=False) / 8.0) for k in (3, 6, 9)
+                 for _ in range(20)]
+    # Symmetric profiles: (a + d)/2 = (b + c)/2 = 1/2.
+    half = [np.sort(rng.random(k) / 2.0) for k in (2, 3, 4) for _ in range(10)]
+    profiles += [np.concatenate((h, 1.0 - h[::-1])) for h in half]
+    profiles += [np.array([0.1, 0.3, 0.7, 0.9]), np.array([0.0, 0.25, 0.5, 0.75, 1.0])]
+    merged = 0
+    for srt in profiles:
+        d = _RecordsCdf()
+        sample_ballots(Profile(srt), d, 100, np.random.default_rng(0))
+        bisectors = (srt[:, None] + srt[None, :])[np.triu_indices(srt.size, 1)] / 2.0
+        want = np.concatenate(([0.0], np.unique(bisectors), [1.0]))
+        assert d.seen[0].tobytes() == want.tobytes(), srt
+        merged += want.size < bisectors.size + 2
+    assert merged > 40  # coinciding bisectors were exercised
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_sample_ballots_region_counts_follow_multinomial_law(k):
     n = 1_000_000
