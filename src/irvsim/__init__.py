@@ -5,9 +5,9 @@ Plurality and instant-runoff tabulation with a continuum electorate on
 three-candidate winner densities, stick-breaking/Gumbel asymptotics, and
 seeded Monte Carlo experiment drivers with a CLI.
 
-The exports below are lazy: `import irvsim` loads no numpy, and the first
-use of a name imports the submodule that defines it. That lets the CLI
-module act before numpy loads (see cli.py).
+The exports are the submodules' `__all__` lists, resolved lazily: `import
+irvsim` loads no numpy, and the first use of an exported name imports the
+submodules. That lets the CLI module act before numpy loads (see cli.py).
 """
 
 import importlib
@@ -15,92 +15,28 @@ import importlib
 # experiments records it in every manifest.
 __version__ = "1.0.0"
 
-_EXPORTS = {
-    "asymptotics": (
-        "GumbelExperimentResult",
-        "circle_coupling_experiment",
-        "gaps_from_uniform",
-        "gumbel_cdf",
-        "ks_statistic",
-        "max_gap_experiment",
-        "spacings",
-        "winning_share_experiment",
-    ),
-    "dist": (
-        "Monotonicity",
-        "ShapeClass",
-        "SymmetricBeta",
-        "Tabulated",
-        "Uniform",
-        "VoterDistribution",
-        "parse_dist_spec",
-    ),
-    "errors": (
-        "CheckFailed",
-        "DomainError",
-        "InvalidProfileError",
-        "IrvsimError",
-        "NoZoneError",
-        "UnconstructibleError",
-        "UnsupportedRegimeError",
-    ),
-    "exactk3": (
-        "PiecewisePolynomial",
-        "density_k3",
-        "irv_density_k3",
-        "irv_tail_density",
-        "order_statistic_win_prob",
-        "plurality_density_k3",
-    ),
-    "experiments": (
-        "RunManifest",
-        "RunSpec",
-        "run_beta_sweep",
-        "run_scatter",
-        "run_verify",
-        "run_winner_histograms",
-    ),
-    "tabulate": (
-        "Profile",
-        "Rule",
-        "TabulationOutcome",
-        "irv_discrete",
-        "irv_winner",
-        "plurality_winner",
-        "sample_ballots",
-        "vote_shares",
-    ),
-    "zones": (
-        "ExclusionZone",
-        "Regime",
-        "ZoneKind",
-        "check_condition",
-        "force_plurality_winner",
-        "min_zone_numeric",
-        "small_k_counterexample",
-        "tightness_profile",
-        "zone_closed_form",
-    ),
-}
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+# The package exports the `__all__` of each of these modules, first match wins.
+_MODULES = ("asymptotics", "dist", "errors", "exactk3", "experiments", "tabulate", "zones")
 # Submodules reachable as attributes, as `irvsim.zones`; each imports on first use.
-_SUBMODULES = {*_EXPORTS, "chunks"}
-
-__all__ = list(_OWNER)
+_SUBMODULES = {*_MODULES, "chunks"}
 
 
 def __getattr__(name):
-    """Import submodule `name`, or the submodule that defines exported `name`
-    and cache the value here."""
+    """Import submodule `name`; otherwise import every module in _MODULES and
+    cache `__all__`, or the value of the first module that exports `name`."""
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
-    module = _OWNER.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    modules = [importlib.import_module(f".{m}", __name__) for m in _MODULES]
+    if name == "__all__":
+        value = [n for m in modules for n in m.__all__]
+    else:
+        owner = next((m for m in modules if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -16,9 +18,11 @@ from pathlib import Path
 # When numpy loads, its bundled OpenBLAS starts a pool of worker threads that
 # spin for about 0.14 s of CPU, and irvsim's only BLAS call is one 9 x 9 solve
 # per Beta table. So a CLI process pins the pool to one thread before numpy
-# loads; a value the user set wins. The package __init__ loads no numpy, so
-# this line runs first; library code that imports irvsim keeps its own setting.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# loads; a value the user set wins, but an empty one counts as unset, as
+# OpenBLAS reads it. The package __init__ loads no numpy, so this runs first;
+# library code that imports irvsim keeps its own setting.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
@@ -204,6 +208,22 @@ _COMMANDS = {
 }
 
 
+def _check_out(out: Path) -> None:
+    """Raise OSError unless `out` or its nearest existing ancestor is a
+    directory, so a run that could not write there fails before any work.
+    Creates nothing."""
+    path = out
+    while True:
+        try:
+            if not stat.S_ISDIR(os.stat(path).st_mode):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
+            return
+        except FileNotFoundError:
+            if path.parent == path:
+                raise
+            path = path.parent
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -213,6 +233,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (IrvsimError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"irvsim: error: {exc}", file=sys.stderr)

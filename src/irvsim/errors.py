@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "IrvsimError",
+    "DomainError",
+    "InvalidProfileError",
+    "UnsupportedRegimeError",
+    "NoZoneError",
+    "UnconstructibleError",
+    "CheckFailed",
+]
+
 
 class IrvsimError(Exception):
     """Base class for package-specific errors."""

@@ -526,43 +526,20 @@ def _verify_zone_sweep(seed, d, experiment_id: str, trials: int):
     return {"trials": trials, "violations": bad}
 
 
-# The oracle samples 200k ballots, so a share is off by about 0.001; a 0.02
-# margin between the two lowest shares in every round keeps each elimination
-# clear of that noise.
 _ORACLE_PROFILES = 30
-_ORACLE_MAX_DRAWS = 400
-_ORACLE_MARGIN = 0.02
-
-
-def _elimination_margin(outcome) -> float:
-    """Smallest gap between the lowest and second-lowest share over all rounds."""
-    lowest_two = (np.sort(r.shares)[:2] for r in outcome.rounds if len(r.shares) > 1)
-    return min((float(b - a) for a, b in lowest_two), default=np.inf)
 
 
 def _verify_oracle_equivalence(seed):
+    """Continuous IRV elects the discrete IRV winner of each ranking's exact mass."""
     d = Uniform()
     rng = chunk_rng(seed, "verify/oracle", 0)
-    checked = agreed = draws = 0
-    while checked < _ORACLE_PROFILES and draws < _ORACLE_MAX_DRAWS:
-        draws += 1
-        k = int(rng.integers(3, 7))
-        prof = tabulate.Profile(np.sort(d.sample(rng, k)))
-        cont = tabulate.irv_winner(prof, d)
-        if _elimination_margin(cont) < _ORACLE_MARGIN:
-            continue
-        ballots = tabulate.sample_ballots(prof, d, 200_000, rng)
-        disc = tabulate.irv_discrete(
-            ballots, positions={i: prof.position(i) for i in range(k)}
-        )
-        checked += 1
-        agreed += int(disc == cont.winner_index)
-    require(
-        checked == _ORACLE_PROFILES,
-        f"only {checked} of {draws} profiles cleared the {_ORACLE_MARGIN} margin",
-    )
-    require(agreed == checked, f"{agreed}/{checked} agreement")
-    return {"checked": checked, "agreed": agreed, "draws": draws}
+    agreed = 0
+    for _ in range(_ORACLE_PROFILES):
+        prof = tabulate.Profile(np.sort(d.sample(rng, int(rng.integers(3, 7)))))
+        disc = tabulate.irv_discrete(tabulate.ballot_masses(prof, d))
+        agreed += int(disc == tabulate.irv_winner(prof, d).winner_index)
+    require(agreed == _ORACLE_PROFILES, f"{agreed}/{_ORACLE_PROFILES} agreement")
+    return {"checked": _ORACLE_PROFILES, "agreed": agreed}
 
 
 def _verify_gumbel(seed):
@@ -639,9 +616,8 @@ def run_verify(seed: int, out_dir: Path | None = None) -> dict:
         ),
         _check(
             "discrete-oracle",
-            "continuous IRV matches discrete IRV on 200k sampled ballots for "
-            "all of 30 random profiles whose two lowest shares differ by >= "
-            "0.02 in every round",
+            "continuous IRV matches discrete IRV on the exact voter mass of "
+            "each ranking for all of 30 random profiles",
             seed,
             lambda: _verify_oracle_equivalence(seed),
         ),

@@ -3,7 +3,8 @@
 A continuum of voters distributed as F assigns each candidate the F-mass
 between the midpoints to its neighbors. IRV repeatedly eliminates the
 candidate with the smallest share and recomputes shares from the survivors.
-A discrete sampled-ballot tabulator is included as an independent oracle.
+A discrete ballot tabulator is included as an independent oracle, fed either
+the exact voter mass of each ranking or sampled ballots.
 
 All operations are pure functions of immutable inputs and are thread-safe.
 """
@@ -27,6 +28,7 @@ __all__ = [
     "vote_shares",
     "plurality_winner",
     "irv_winner",
+    "ballot_masses",
     "sample_ballots",
     "irv_discrete",
     "sample_sorted_positions",
@@ -168,44 +170,63 @@ def irv_winner(p: Profile, d: VoterDistribution):
     )
 
 
-def sample_ballots(p: Profile, d: VoterDistribution, n_voters: int, rng) -> Counter:
-    """Sample `n_voters` i.i.d. voters from `d` as a multiset of proximity rankings.
+def _ranking_regions(p: Profile, d: VoterDistribution):
+    """The constant-ranking regions of [0, 1]: each one's ranking and F-mass.
 
-    Each ballot is a tuple of original candidate indices sorted by increasing
-    distance from the voter, returned as a Counter keyed by ranking tuple.
-    The ranking is constant between consecutive pairwise bisectors, so only
-    the number of voters in each such region matters. Those counts follow the
-    multinomial law with the regions' F-masses, and are drawn from it directly;
-    no voter position is drawn, and a bisector (F-mass zero) holds no voter.
+    A ranking is a tuple of original candidate indices sorted by increasing
+    distance from the voter. It is constant between consecutive pairwise
+    bisectors, so the regions are the gaps between them and each region has
+    its own ranking; a bisector (F-mass zero) holds no voter.
     """
-    if n_voters < 1:
-        raise InvalidProfileError("n_voters must be >= 1")
     srt = p.sorted_positions
     originals = p.sort_order
     k = srt.size
     if k == 1:
-        return Counter({(int(originals[0]),): n_voters})
+        return [(int(originals[0]),)], np.ones(1)
     # Bisectors of all candidate pairs partition [0, 1] into constant-ranking regions.
     # np.unique's bounds, without the numpy.ma import it costs in numpy 2.4.
     mids = np.sort((srt[:, None] + srt[None, :])[np.triu_indices(k, 1)] / 2.0)
     bounds = mids[np.concatenate(([True], mids[1:] != mids[:-1]))]
     edges = np.concatenate(([0.0], bounds, [1.0]))
-    counts = rng.multinomial(n_voters, np.diff(d.cdf(edges)))
-    ballots = Counter()
-    for r in np.nonzero(counts)[0]:
-        rep = 0.5 * (edges[r] + edges[r + 1])
-        ranking = np.argsort(np.abs(rep - srt), kind="stable")
-        key = tuple(int(originals[j]) for j in ranking)
-        ballots[key] += int(counts[r])
-    return ballots
+    reps = 0.5 * (edges[:-1] + edges[1:])
+    ranks = np.argsort(np.abs(reps[:, None] - srt[None, :]), axis=1, kind="stable")
+    return [tuple(r) for r in originals[ranks].tolist()], np.diff(d.cdf(edges))
+
+
+def ballot_masses(p: Profile, d: VoterDistribution) -> Counter:
+    """Each proximity ranking's exact voter mass under `d`, as a Counter.
+
+    The continuum electorate as a weighted ballot multiset: the mass of a
+    ranking is the F-mass of the region of voters who rank the candidates
+    that way. irv_discrete tabulates it without sampling noise.
+    """
+    rankings, masses = _ranking_regions(p, d)
+    return Counter(dict(zip(rankings, masses.tolist())))
+
+
+def sample_ballots(p: Profile, d: VoterDistribution, n_voters: int, rng) -> Counter:
+    """Sample `n_voters` i.i.d. voters from `d` as a multiset of proximity rankings.
+
+    Returns a Counter keyed by ranking tuple, as ballot_masses does. Only the
+    number of voters in each constant-ranking region matters; those counts
+    follow the multinomial law with the regions' F-masses, and are drawn from
+    it directly, so no voter position is drawn.
+    """
+    if n_voters < 1:
+        raise InvalidProfileError("n_voters must be >= 1")
+    rankings, masses = _ranking_regions(p, d)
+    counts = rng.multinomial(n_voters, masses)
+    return Counter({rankings[r]: int(counts[r]) for r in np.nonzero(counts)[0]})
 
 
 def irv_discrete(ballots, positions=None) -> int:
     """Standard IRV on a ballot multiset; returns the winning candidate index.
 
-    `ballots` is a Counter (or iterable of ranking tuples). Leftmost
-    elimination orders tied candidates by `positions` (mapping index ->
-    position) when given, falling back to index order.
+    `ballots` is a Counter (or iterable of ranking tuples) whose values may be
+    any nonnegative weights: voter counts from sample_ballots, or exact voter
+    masses from ballot_masses. Leftmost elimination orders tied candidates by
+    `positions` (mapping index -> position) when given, falling back to index
+    order.
     """
     if not isinstance(ballots, Counter):
         ballots = Counter(ballots)

@@ -507,12 +507,11 @@ def test_check_records_any_exception_as_failure():
     assert result["detail"] == "ZeroDivisionError: boom"
 
 
-# 1879842187 reached a 0.50011/0.49989 final round that the first-round
-# margin filter let through.
-@pytest.mark.parametrize("seed", [1879842187, *range(20)])
+# 1879842187 reached a 0.50011/0.49989 final round, which sampled ballots
+# could not resolve; exact voter masses do.
+@pytest.mark.parametrize("seed", [1879842187, *range(49)])
 def test_oracle_check_sound_across_seeds(seed):
-    detail = experiments._verify_oracle_equivalence(seed)
-    assert detail["checked"] == detail["agreed"] == 30
+    assert experiments._verify_oracle_equivalence(seed) == {"checked": 30, "agreed": 30}
 
 
 def _run_python(flags, code, **environ):
@@ -608,14 +607,23 @@ def test_package_import_loads_no_numpy():
     assert proc.stdout.split()[:2] == ["False", "None"]
 
 
-def test_cli_import_pins_openblas_to_one_thread():
-    proc = _run_python([], "import irvsim.cli\n" + _THREADS, OPENBLAS_NUM_THREADS=None)
+def _assert_cli_import_pins_openblas(**environ):
+    proc = _run_python([], "import irvsim.cli\n" + _THREADS, **environ)
     assert proc.returncode == 0, proc.stderr
-    value, threads = proc.stdout.split()
+    value, threads = proc.stdout.splitlines()
     assert value == "1"
     if threads == "unknown":
         pytest.skip("no /proc/self/task to count the process's threads (not Linux)")
     assert threads == "1"
+
+
+def test_cli_import_pins_openblas_to_one_thread():
+    _assert_cli_import_pins_openblas(OPENBLAS_NUM_THREADS=None)
+
+
+def test_cli_import_pins_an_empty_openblas_setting():
+    # OpenBLAS reads an empty value as unset and starts its full pool.
+    _assert_cli_import_pins_openblas(OPENBLAS_NUM_THREADS="")
 
 
 def test_cli_import_keeps_a_user_openblas_setting():
@@ -719,6 +727,23 @@ def test_cli_bad_input_exits_1_with_message(argv, named, tmp_path, monkeypatch, 
     assert "Traceback" not in err
     assert not (tmp_path / "D").exists()
     assert not [str(w.message) for w in recwarn]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--out", "empty.csv"],
+    ["simulate", "--out", "empty.csv/sub", "--trials", "10"],
+    ["simulate", "--out", "empty.csv", "--trials", "10"],
+])
+def test_cli_rejects_an_unusable_out_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.csv").write_text("")
+    calls = []
+    monkeypatch.setattr(experiments, "_check", lambda *a, **kw: calls.append("_check"))
+    monkeypatch.setattr(experiments, "_elections",
+                        lambda *a, **kw: calls.append("_elections"))
+    assert cli.main(argv) == 1
+    assert "Not a directory" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_simulate(tmp_path, capsys):

@@ -10,6 +10,7 @@ from irvsim.errors import InvalidProfileError
 from irvsim.tabulate import (
     Profile,
     Rule,
+    ballot_masses,
     irv_batch,
     irv_discrete,
     irv_winner,
@@ -185,6 +186,43 @@ def test_sample_ballots_region_counts_follow_multinomial_law(k):
         key = tuple(np.argsort(np.abs((lo + hi) / 2 - srt), kind="stable").tolist())
         sigma = math.sqrt(n * mass * (1 - mass))
         assert abs(ballots[key] - n * mass) <= 5 * sigma, (key, ballots[key], n * mass)
+
+
+def test_sample_ballots_stream_is_pinned():
+    # Counts recorded before ballot_masses shared sample_ballots' region code:
+    # the same profile, distribution and seed give the same ballots, and the
+    # generator is left in the same state (the grid profile's bisectors coincide).
+    p = Profile([0.62, 0.1, 0.45, 0.93, 0.3])
+    assert sample_ballots(p, SymmetricBeta(0.3), 10_000, np.random.default_rng(20261019)) == {
+        (1, 4, 2, 0, 3): 3504, (4, 1, 2, 0, 3): 404, (4, 2, 1, 0, 3): 403,
+        (4, 2, 0, 1, 3): 90, (2, 4, 0, 1, 3): 378, (2, 0, 4, 1, 3): 261,
+        (2, 0, 4, 3, 1): 94, (0, 2, 4, 3, 1): 366, (0, 2, 3, 4, 1): 388,
+        (0, 3, 2, 4, 1): 442, (3, 0, 2, 4, 1): 3670,
+    }
+    rng = np.random.default_rng(7)
+    assert sample_ballots(Profile([0.5, 0.0, 0.75, 0.25, 1.0]), U, 1000, rng) == {
+        (1, 3, 0, 2, 4): 130, (3, 1, 0, 2, 4): 117, (3, 0, 1, 2, 4): 110,
+        (0, 3, 2, 1, 4): 134, (0, 2, 3, 4, 1): 131, (2, 0, 4, 3, 1): 126,
+        (2, 4, 0, 3, 1): 131, (4, 2, 0, 3, 1): 121,
+    }
+    assert rng.random() == 0.9955002834343927
+
+
+def test_ballot_masses_are_the_region_masses():
+    assert ballot_masses(Profile([0.75, 0.125]), U) == {(1, 0): 0.4375, (0, 1): 0.5625}
+    assert ballot_masses(Profile([0.3]), U) == {(0,): 1.0}
+
+
+# Seeded random profiles, which have no exact ties with probability 1; the
+# simple floats hypothesis favours make exact ties, which this does not cover.
+@pytest.mark.parametrize("name", sorted(DISTS))
+def test_irv_discrete_on_ballot_masses_matches_irv_winner(name):
+    d = DISTS[name]
+    rng = np.random.default_rng(20261019)
+    for k in range(1, 13):
+        for _ in range(25):
+            p = Profile(d.sample(rng, k))
+            assert irv_discrete(ballot_masses(p, d)) == irv_winner(p, d).winner_index, p
 
 
 def test_irv_discrete_identical_ballots():
