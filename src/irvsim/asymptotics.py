@@ -92,6 +92,19 @@ def _spacing_blocks(n: int, trials: int, rng):
         yield slice(start, start + len(block)), block
 
 
+def _spacing_statistics(n: int, trials: int, seed: int, experiment_id: str, threads: int,
+                        statistic) -> np.ndarray:
+    """statistic(block) of each trial's n spacings, the blocks as _spacing_blocks yields them."""
+    def chunk(rows, rng):
+        out = np.empty(rows.stop - rows.start)
+        for part, gaps in _spacing_blocks(n, len(out), rng):
+            out[part] = statistic(gaps)
+        return out
+
+    return np.concatenate(map_chunks(chunk, seed, experiment_id, trials, threads,
+                                     draws_per_trial=n))
+
+
 def gaps_from_uniform(n: int, rng) -> np.ndarray:
     """The n spacings of [0, 1] cut at n - 1 sorted uniform breakpoints."""
     n = check_int("n", n, 1)
@@ -140,15 +153,12 @@ def winning_share_experiment(k: int, trials: int, seed: int,
     n = k + 1
     center = math.log(n) + math.log(math.log(n))
 
-    def chunk(rows, rng):
-        v = np.empty(rows.stop - rows.start)
-        for part, gaps in _spacing_blocks(n, len(v), rng):
-            v[part] = _gap_shares(gaps).max(axis=1)
-            require(np.all(v[part] >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
+    def statistic(gaps):
+        v = _gap_shares(gaps).max(axis=1)
+        require(np.all(v >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
         return 2.0 * n * v - center
 
-    stats = np.concatenate(map_chunks(chunk, seed, f"gumbel-share/k={k}", trials, threads,
-                                      draws_per_trial=n))
+    stats = _spacing_statistics(n, trials, seed, f"gumbel-share/k={k}", threads, statistic)
     return GumbelExperimentResult(k, trials, stats, ks_statistic(stats, gumbel_cdf))
 
 
@@ -162,15 +172,11 @@ def max_gap_experiment(n: int, trials: int, seed: int,
     n = check_int("n", n, 2)
     logn = math.log(n)
 
-    def chunk(rows, rng):
-        top = np.empty(rows.stop - rows.start)
-        for part, gaps in _spacing_blocks(n, len(top), rng):
-            require(np.all(np.abs(gaps.sum(axis=1) - 1.0) < 1e-12), "gaps do not sum to 1")
-            top[part] = gaps.max(axis=1)
-        return n * top - logn
+    def statistic(gaps):
+        require(np.all(np.abs(gaps.sum(axis=1) - 1.0) < 1e-12), "gaps do not sum to 1")
+        return n * gaps.max(axis=1) - logn
 
-    stats = np.concatenate(map_chunks(chunk, seed, f"max-gap/n={n}", trials, threads,
-                                      draws_per_trial=n))
+    stats = _spacing_statistics(n, trials, seed, f"max-gap/n={n}", threads, statistic)
     return GumbelExperimentResult(n, trials, stats, ks_statistic(stats, gumbel_cdf))
 
 
@@ -183,22 +189,19 @@ def circle_coupling_experiment(k: int, trials: int, seed: int, threads: int = 1)
     """
     k = check_int("k", k, 3)
 
-    def chunk(rows, rng):
-        differ = 0
-        for _part, gaps in _spacing_blocks(k + 1, rows.stop - rows.start, rng):
-            # On the circle the two outer gaps form one wrap arc g_0 + g_k, half
-            # of which goes to each end candidate.
-            circle = gaps[:, :-1] + gaps[:, 1:]
-            circle[:, 0] += gaps[:, -1]
-            circle[:, -1] += gaps[:, 0]
-            circle *= 0.5
-            interval = shares_batch(np.cumsum(gaps[:, :-1], axis=1), Uniform())
-            require(np.all(np.abs(circle.sum(axis=1) - 1.0) < 1e-12),
-                    "circle shares do not sum to 1")
-            require(np.all(np.abs(circle[:, 1:-1] - interval[:, 1:-1]) < 1e-12),
-                    "circle and interval shares differ away from the cut")
-            differ += int(np.count_nonzero(circle.argmax(axis=1) != interval.argmax(axis=1)))
-        return differ
+    def differs(gaps):
+        # On the circle the two outer gaps form one wrap arc g_0 + g_k, half
+        # of which goes to each end candidate.
+        circle = gaps[:, :-1] + gaps[:, 1:]
+        circle[:, 0] += gaps[:, -1]
+        circle[:, -1] += gaps[:, 0]
+        circle *= 0.5
+        interval = shares_batch(np.cumsum(gaps[:, :-1], axis=1), Uniform())
+        require(np.all(np.abs(circle.sum(axis=1) - 1.0) < 1e-12),
+                "circle shares do not sum to 1")
+        require(np.all(np.abs(circle[:, 1:-1] - interval[:, 1:-1]) < 1e-12),
+                "circle and interval shares differ away from the cut")
+        return circle.argmax(axis=1) != interval.argmax(axis=1)
 
-    return sum(map_chunks(chunk, seed, f"circle/k={k}", trials, threads,
-                          draws_per_trial=k + 1)) / trials
+    rows = _spacing_statistics(k + 1, trials, seed, f"circle/k={k}", threads, differs)
+    return np.count_nonzero(rows) / trials

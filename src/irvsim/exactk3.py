@@ -9,12 +9,14 @@ per-order-statistic win probabilities used as internal consistency oracles.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
+from .chunks import check_int
 from .errors import DomainError
 from .tabulate import Rule
 
@@ -47,10 +49,6 @@ class PiecewisePolynomial:
     def support(self):
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    def _piece_index(self, x: float) -> int:
-        bp = [float(b) for b in self.breakpoints]
-        return int(np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(self.coefficients) - 1))
-
     def __call__(self, x):
         """Evaluate at float scalar or array x within the support."""
         xa = np.asarray(x, dtype=float)
@@ -72,7 +70,11 @@ class PiecewisePolynomial:
         return sum(c * x**p for p, c in enumerate(coeffs))
 
     def value_exact(self, x: Fraction) -> Fraction:
-        return self._at(self.coefficients[self._piece_index(float(x))], x)
+        """Exact value at a rational x in the support; the right-hand piece at a breakpoint."""
+        bp = self.breakpoints
+        if not bp[0] <= x <= bp[-1]:
+            raise DomainError(f"argument outside support [{bp[0]}, {bp[-1]}]")
+        return self._at(self.coefficients[min(bisect_right(bp, x), len(bp) - 1) - 1], x)
 
     def integral(self) -> Fraction:
         """Exact integral over the full support."""
@@ -152,8 +154,7 @@ def irv_tail_density(k: int, x: float) -> float:
     Valid for any k >= 3: a candidate can only win outside [1/6, 5/6] when it
     is the most moderate candidate, which pins down the tail in closed form.
     """
-    if k < 3:
-        raise DomainError("k must be >= 3")
+    k = check_int("k", k, 3)
     if 0.0 <= x <= 1.0 / 6.0:
         t = x
     elif 5.0 / 6.0 <= x <= 1.0:
@@ -199,7 +200,7 @@ def order_statistic_win_prob(rule: Rule, order_index: int, w):
 
     `w` is a float or an array of floats; the result has its shape.
     """
-    if order_index not in (1, 2, 3):
+    if check_int("order_index", order_index, 1) > 3:
         raise DomainError("order_index must be 1, 2, or 3")
     w = np.asarray(w, dtype=float)
     if not np.all((w >= 0.0) & (w <= 0.5)):

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chunks import check_int
 from .dist import VoterDistribution
-from .errors import InvalidProfileError
+from .errors import DomainError, InvalidProfileError
 
 __all__ = [
     "Rule",
@@ -80,7 +81,10 @@ class Profile:
         return self._order
 
     def position(self, original_index: int) -> float:
-        j = int(np.nonzero(self._order == original_index)[0][0])
+        i = check_int("candidate index", original_index, 0)
+        if i >= self.k:
+            raise DomainError(f"candidate index {i} is out of range for {self.k} candidates")
+        j = int(np.nonzero(self._order == i)[0][0])
         return float(self._sorted[j])
 
     def __repr__(self):
@@ -212,10 +216,8 @@ def sample_ballots(p: Profile, d: VoterDistribution, n_voters: int, rng) -> Coun
     follow the multinomial law with the regions' F-masses, and are drawn from
     it directly, so no voter position is drawn.
     """
-    if n_voters < 1:
-        raise InvalidProfileError("n_voters must be >= 1")
     rankings, masses = _ranking_regions(p, d)
-    counts = rng.multinomial(n_voters, masses)
+    counts = rng.multinomial(check_int("n_voters", n_voters, 1), masses)
     return Counter({rankings[r]: int(counts[r]) for r in np.nonzero(counts)[0]})
 
 

@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .chunks import check_int
 from .dist import Monotonicity, VoterDistribution
 from .errors import (
     DomainError,
@@ -214,8 +215,7 @@ def tightness_profile(c: float, k: int, eps: float | None = None) -> Profile:
         raise DomainError("requires c > 1/6")
     if c >= 0.5:
         raise DomainError("requires c < 1/2")
-    if k < 3:
-        raise DomainError("requires k >= 3")
+    k = check_int("k", k, 3)
     if eps is None:
         eps = (0.5 - c) / 4.0
     if not (0.0 < eps < (0.5 - c) / 2.0):
@@ -238,63 +238,56 @@ def _merge_positions(positions, new_points) -> list:
 
 
 _FLOOD_CAP = 1_000_000  # cap on added candidates, guards degenerate densities
+_MAX_HALVINGS = 60  # bracket moves before the target is declared unforceable
 
 
 def force_plurality_winner(
     targets: Profile, target_index: int, d: VoterDistribution
 ) -> Profile:
-    """Add candidates around `targets` until the target wins under plurality.
+    """Add candidates around `targets` until the target x1 wins under plurality.
 
-    The target is bracketed at a small distance delta where the density is
-    nearly constant, then each flank is flooded with candidates (equal-mass
-    spaced) until every non-target share falls strictly below the target's.
-    The target must not sit at 0 or 1: there are voter distributions where an
-    endpoint candidate cannot win no matter what is added.
+    With F the voter CDF, the brackets l < x1 < r are candidates at the
+    target's neighbouring targets, or at 0 and 1 where it has none. The
+    target's share is s = F((x1 + r)/2) - F((l + x1)/2); the left bracket's
+    inner half-share is a = F((l + x1)/2) - F(l), and the right's mirrors it.
+    While a bracket has a >= s it moves halfway toward x1. Each flank then
+    gets a guard at F-distance min(s - a, s/2)/2 from its bracket and, beyond
+    it, candidates at equal F-spacing below s/2 out to the end of [0, 1].
+
+    Every other share is then below s, since a share is at most the F-mass
+    between a candidate's neighbours (or the end of [0, 1]): a bracket gets
+    less than a + (s - a), and any other candidate has both neighbours within
+    two adjacent gaps of the construction, each below s/2; other targets only
+    split them. A target at 0 or 1 is refused: under some voter distributions
+    an endpoint candidate cannot win whatever is added.
     """
     x1 = targets.position(target_index)
     if x1 in (0.0, 1.0):
         raise UnconstructibleError("cannot force a win for a candidate at 0 or 1")
-
     positions = targets.sorted_positions
-
-    # Shrink delta until the density varies by < f(x1)/4 on the bracket. Half
-    # the distance to the nearest candidate keeps any other out of the bracket.
-    f1 = float(d.density(x1))
-    if f1 <= 0:
-        raise UnconstructibleError("target sits at a density zero")
-    delta = min(x1, 1.0 - x1, *(abs(p - x1) for p in positions if p != x1)) / 2.0
-    while True:
-        t = np.linspace(x1 - delta, x1 + delta, 201)
-        if np.max(np.abs(np.asarray(d.density(t)) - f1)) < f1 / 4.0:
+    left = max((p for p in positions if p < x1), default=0.0)
+    right = min((p for p in positions if p > x1), default=1.0)
+    for _ in range(_MAX_HALVINGS):
+        f_l, m_l, m_r, f_r = d.cdf(np.array([left, (left + x1) / 2, (x1 + right) / 2, right]))
+        s, a_l, a_r = m_r - m_l, m_l - f_l, f_r - m_r
+        if a_l < s and a_r < s:
             break
-        delta /= 2.0
-        if delta < 1e-12:
-            raise UnconstructibleError("could not find a flat density bracket")
-    left, right = x1 - delta, x1 + delta
-    positions = _merge_positions(positions, [left, right])
+        if a_l >= s:
+            left = (left + x1) / 2
+        if a_r >= s:
+            right = (x1 + right) / 2
+    else:
+        raise UnconstructibleError("the target's neighbours outvote it at every bracket")
 
-    # Target and bracket shares with the bracket in place.
-    v_target = float(d.cdf((x1 + right) / 2.0)) - float(d.cdf((left + x1) / 2.0))
-    v_left_inner = float(d.cdf((left + x1) / 2.0)) - float(d.cdf(left))
-    v_right_inner = float(d.cdf(right)) - float(d.cdf((x1 + right) / 2.0))
-    margin = v_target - max(v_left_inner, v_right_inner)  # > 0 by delta choice
-    if margin <= 0:
-        raise UnconstructibleError("density bracket failed to isolate the target")
-    # Equal-mass candidate spacing on each flank: every gap outside the
-    # bracket carries mass <= m, so every flank share stays below 3m/2.
-    m = 0.4 * min(margin, v_target)
-    mass_left = float(d.cdf(left))
-    mass_right = 1.0 - float(d.cdf(right))
-    n_left = int(np.ceil(mass_left / m))
-    n_right = int(np.ceil(mass_right / m))
-    if n_left + n_right > _FLOOD_CAP:
+    # Each flank's F-mass beyond its guard, split into equal gaps below s/2.
+    beyond = np.maximum([f_l - min(s - a_l, s / 2) / 2, 1.0 - f_r - min(s - a_r, s / 2) / 2], 0.0)
+    counts = np.where(beyond > 0, np.floor(2.0 * beyond / s) + 1, 0)
+    if counts.sum() > _FLOOD_CAP:
         raise UnconstructibleError("flood cap exceeded")
-    p_left = np.linspace(0.0, mass_left, n_left + 1)[1:-1]
-    p_right = 1.0 - np.linspace(0.0, mass_right, n_right + 1)[1:-1]
-    new = np.concatenate([d.quantile(p_left), d.quantile(p_right)])
-    positions = _merge_positions(positions, new)
-
-    result = Profile(positions)
+    # Each new point's F-mass between it and the end of its flank.
+    to_end = [b * np.arange(n, 0, -1) / n for b, n in zip(beyond, counts.astype(int))]
+    new = np.concatenate([[left, right], d.quantile(to_end[0]), d.quantile(1.0 - to_end[1])])
+    result = Profile(_merge_positions(positions, np.unique(new)))
     shares = vote_shares(result, d)
     ti = int(np.searchsorted(result.sorted_positions, x1))
     if not np.all(np.delete(shares, ti) < shares[ti]):

@@ -175,10 +175,11 @@ def test_criterion_8_beta_sweep_zones():
 
 
 def test_criterion_9_force_plurality_winner():
-    counts = {}
+    counts, sizes, ratios = {}, {}, {}
     for d, label in ((U, "uniform"), (SymmetricBeta(2.0), "beta(2,2)")):
         rng = chunk_rng(MASTER_SEED, f"acceptance/9/{label}", 0)
         succeeded = 0
+        n, n_s_max = [], []
         for _ in range(1000):
             k = int(rng.integers(2, 7))
             # Targets stay clear of the endpoints: a winner with vote share s
@@ -194,9 +195,27 @@ def test_criterion_9_force_plurality_winner():
                 np.delete(shares, wi) < shares[wi]
             ):
                 succeeded += 1
+            # The target's share is at most s_max, the F-mass out to the
+            # midpoints with its neighbouring targets (or 0 and 1), and n
+            # shares below it cannot sum to 1 unless n > 1/s_max.
+            pos = targets.sorted_positions
+            left = max((p for p in pos if p < x1), default=0.0)
+            right = min((p for p in pos if p > x1), default=1.0)
+            n.append(prof.k)
+            n_s_max.append(prof.k * (d.cdf((x1 + right) / 2) - d.cdf((left + x1) / 2)))
         counts[label] = succeeded
-    ok = all(v == 1000 for v in counts.values())
-    _report(9, ok, f"strict plurality wins forced in {counts} of 1000 target sets each")
+        sizes[label] = (float(np.median(n)), max(n))
+        ratios[label] = (min(n_s_max), float(np.median(n_s_max)))
+    ok = (all(v == 1000 for v in counts.values())
+          and all(lo > 1 and med <= 3 for lo, med in ratios.values()))
+    _report(
+        9,
+        ok,
+        f"strict plurality wins forced in {counts} of 1000 target sets each; "
+        f"candidates (median, max) {sizes}; n*s_max (min, median) "
+        + ", ".join(f"{k} ({lo:.3f}, {med:.3f})" for k, (lo, med) in ratios.items())
+        + " (min > 1, median <= 3)",
+    )
 
 
 def test_criterion_10_small_k_dominance():

@@ -75,6 +75,18 @@ def test_plurality_density_values():
     assert irv_density_k3().value_exact(F(1, 2)) == F(2)
 
 
+def test_value_exact_picks_its_piece_exactly():
+    dens = irv_density_k3()
+    # Just left of 1/6 lies on the 12x^2 piece, though its float rounds to 1/6.
+    x = F(1, 6) - F(1, 10**20)
+    assert float(x) == 1 / 6
+    assert dens.value_exact(x) == 12 * x**2
+    assert dens.value_exact(F(1, 6)) == F(1, 3) and dens.value_exact(F(1)) == 0
+    for outside in (F(-1, 10**20), F(1) + F(1, 10**20)):
+        with pytest.raises(DomainError):
+            dens.value_exact(outside)
+
+
 def test_irv_tail_density():
     assert irv_tail_density(3, 0.0) == 0.0
     assert irv_tail_density(3, 1 / 6) == pytest.approx(3 * (1 / 3) ** 2)

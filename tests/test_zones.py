@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irvsim import tabulate, zones
+from irvsim import exactk3, tabulate, zones
 from irvsim.dist import SymmetricBeta, Tabulated, Uniform
 from irvsim.errors import (
     DomainError,
@@ -300,6 +300,76 @@ def test_merge_positions_matches_the_pairwise_loop():
         new = np.concatenate([rng.random(int(rng.integers(0, 50))), near])
         kept = [x for x in new.tolist() if all(abs(x - p) > 1e-12 for p in old.tolist())]
         assert zones._merge_positions(old, new) == sorted(old.tolist() + kept)
+
+
+def test_force_plurality_winner_brackets_at_the_neighbours():
+    # The target's neighbour 4e-6 away on the right leaves the whole left gap
+    # as its bracket, so the flanks are spaced by the target's share of ~0.1.
+    prof = force_plurality_winner(Profile([0.3, 0.5, 0.500004, 0.7]), 1, U)
+    assert prof.k < 200
+    shares = vote_shares(prof, U)
+    ti = int(np.searchsorted(prof.sorted_positions, 0.5))
+    assert np.all(np.delete(shares, ti) < shares[ti])
+
+
+def test_forced_plurality_winner_is_extreme_and_irv_stays_moderate():
+    # The paper's contrast in one profile: plurality elects the extreme 0.1,
+    # while IRV elects a candidate in the uniform exclusion zone [1/6, 5/6].
+    prof = force_plurality_winner(Profile([0.1, 0.5]), 0, U)
+    assert prof.k <= 10
+    assert plurality_winner(prof, U).winner_position == 0.1
+    assert 1 / 6 <= irv_winner(prof, U).winner_position <= 5 / 6
+
+
+def _forcing_draws(d, draws, seed):
+    """Random target sets of 2..8 candidates in [0.02, 0.98] and each one's forcing outcome."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        k = int(rng.integers(2, 9))
+        targets = Profile(rng.uniform(0.02, 0.98, k))
+        ti = int(rng.integers(k))
+        try:
+            yield targets, ti, force_plurality_winner(targets, ti, d)
+        except UnconstructibleError as e:
+            yield targets, ti, e
+
+
+@pytest.mark.parametrize("d", [SymmetricBeta(0.3), _cos_squared()], ids=["beta0.3", "cos-squared"])
+def test_force_plurality_winner_sweep(d):
+    for targets, ti, prof in _forcing_draws(d, 150, 14):
+        assert isinstance(prof, Profile), (targets, ti, prof)
+        shares = vote_shares(prof, d)
+        wi = int(np.argmax(shares))
+        assert prof.sorted_positions[wi] == targets.position(ti)
+        assert np.all(np.delete(shares, wi) < shares[wi])
+
+
+def test_force_plurality_winner_on_a_zero_density_gap():
+    # Zero density on [0.4, 0.6]: a target inside the gap can get no votes.
+    with pytest.warns(UserWarning, match="interior zeros"):
+        d = Tabulated([0, 0.39, 0.4, 0.6, 0.61, 1], [1, 1, 0, 0, 1, 1])
+    with pytest.raises(UnconstructibleError):
+        force_plurality_winner(Profile([0.45, 0.5, 0.55]), 1, d)
+    # Any other error, such as duplicate positions reaching Profile, propagates.
+    outcomes = [prof for _, _, prof in _forcing_draws(d, 150, 15)]
+    built = [p for p in outcomes if isinstance(p, Profile)]
+    assert 0 < len(built) < len(outcomes)
+    for prof in built:
+        shares = vote_shares(prof, d)
+        assert np.sum(shares == shares.max()) == 1
+
+
+def test_integer_arguments_must_be_integers():
+    with pytest.raises(DomainError):
+        Profile([0.2, 0.5, 0.8]).position(5)
+    with pytest.raises(DomainError):
+        force_plurality_winner(Profile([0.2, 0.5, 0.8]), 3, U)
+    with pytest.raises(DomainError):
+        tightness_profile(0.2, 4.5)
+    with pytest.raises(DomainError):
+        exactk3.irv_tail_density(3.5, 0.1)
+    with pytest.raises(DomainError):
+        exactk3.order_statistic_win_prob(Rule.PLURALITY, 2.0, 0.3)
 
 
 def test_force_plurality_winner_rejects_endpoints():
