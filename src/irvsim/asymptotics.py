@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chunks import check_int, map_chunks
+from .chunks import map_chunks
 from .dist import Uniform
-from .errors import DomainError, require
-# Unused here, but perfbench/tracer.py looks up asymptotics.{irv,plurality}_batch by name.
+from .errors import DomainError, check_int, require
+# Never called here: perfbench's tests and tests/test_benchmark_bindings.py assert that
+# asymptotics has irv_batch and plurality_batch (the tracer rebinds by identity, not name).
 from .tabulate import irv_batch, plurality_batch, shares_batch  # noqa: F401
 
 __all__ = [

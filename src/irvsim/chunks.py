@@ -8,14 +8,13 @@ results are bitwise identical for any number of threads.
 from __future__ import annotations
 
 import hashlib
-import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_int, check_seed
 
-__all__ = ["TRIALS_PER_CHUNK", "DRAWS_PER_CHUNK", "check_seed", "chunk_rng", "map_chunks"]
+__all__ = ["TRIALS_PER_CHUNK", "DRAWS_PER_CHUNK", "chunk_rng", "map_chunks"]
 
 # Trials per chunk for the experiment drivers. Their streams depend on this
 # constant: chunk i always gets the same RNG and the same trial count.
@@ -26,22 +25,6 @@ TRIALS_PER_CHUNK = 4096
 # streams, and nothing else does: the kernels walk a chunk in blocks of about
 # 1 MB that draw the same values.
 DRAWS_PER_CHUNK = 1_000_000
-
-
-def check_int(name: str, value, least: int) -> int:
-    """`value` as an int; DomainError unless it is an integer >= `least`."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
-def check_seed(master_seed) -> int:
-    """The master seed, from which every stream is derived, as an int >= 0."""
-    return check_int("the master seed", master_seed, 0)
 
 
 def chunk_rng(master_seed: int, experiment_id: str, chunk_index: int):

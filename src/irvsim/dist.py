@@ -113,7 +113,9 @@ class Uniform(VoterDistribution):
 # smooth: 256 pieces of degree 8 fit it to within rounding. Above 1/2, F is
 # mirrored as 1 - F(1 - x). The table covers only [lo, 1/2], below which
 # w^alpha underflows. Measured against mpmath, F is within 2e-15 up to
-# alpha = 1000 and within about 4e-15 at alpha = 1e4.
+# alpha = 1000 and within about 4e-15 at alpha = 1e4. Larger alphas are refused:
+# the series that fits the table needs a number of terms growing like sqrt(alpha).
+_BETA_MAX_ALPHA = 1e4
 _BETA_DEGREE = 8
 _BETA_PIECES = 256
 # Values are evaluated this many at a time, so the Horner temporaries stay in cache.
@@ -196,8 +198,9 @@ class SymmetricBeta(VoterDistribution):
     alpha: float
 
     def __post_init__(self):
-        if not (0 < self.alpha < np.inf):
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
+        if not (0 < self.alpha <= _BETA_MAX_ALPHA):
+            raise DomainError(f"alpha must be positive and finite and at most "
+                              f"{_BETA_MAX_ALPHA:g}, got {self.alpha!r}")
 
     def density(self, x):
         x = _check_unit_interval(x, "x")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import operator
 
 __all__ = [
     "IrvsimError",
@@ -43,3 +45,19 @@ def require(condition, message: str):
     """Raise CheckFailed(message) unless `condition` holds; survives python -O."""
     if not condition:
         raise CheckFailed(message)
+
+
+def check_int(name: str, value, least: int) -> int:
+    """`value` as an int; DomainError unless it is an integer >= `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def check_seed(master_seed) -> int:
+    """The master seed, from which every stream is derived, as an int >= 0."""
+    return check_int("the master seed", master_seed, 0)

@@ -16,8 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .chunks import check_int
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .tabulate import Rule
 
 __all__ = [

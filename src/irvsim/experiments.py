@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,9 +23,9 @@ from . import __version__, asymptotics, exactk3, tabulate, zones
 # perfbench/tracer.py wraps `experiments._map_chunks` and rebinds the wrapper
 # wherever an irvsim module holds the same function object, so this binding
 # also gets the asymptotics chunks traced.
-from .chunks import check_int, check_seed, chunk_rng, map_chunks as _map_chunks
+from .chunks import chunk_rng, map_chunks as _map_chunks
 from .dist import SymmetricBeta, Uniform, parse_dist_spec
-from .errors import DomainError, require
+from .errors import DomainError, check_int, check_seed, require
 from .tabulate import Rule
 
 __all__ = [
@@ -423,9 +422,7 @@ def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
     no_viol = np.broadcast_to(False, run.trials)
     with _CsvFiles(run.out_dir) as files:
         for alpha, d in zip(alphas, voters):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # c = 0 warns; degenerate_bound records it
-                zone = zones.zone_closed_form(d)
+            zone = zones.zone_closed_form(d)
             exp_id = f"betasweep/alpha={alpha:g}/k={k}"
             results, irv_viol = _elections(run, exp_id, d, k, rules, zone)
             for rule in rules:
@@ -442,9 +439,7 @@ def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
                     "trials": run.trials,
                     "bound_c": zone.c,
                     "bound_kind": zone.zone_kind.value,
-                    # Degenerate when the bound carries no information: a zero-width
-                    # moderate interval, or an extreme pair covering everything.
-                    "degenerate_bound": bool(zone.c <= 0.0 or zone.c >= 0.5 - 1e-9),
+                    "degenerate_bound": zone.degenerate,
                     "violations": int(viol.sum()),
                 }
                 summaries[f"alpha={alpha:g}/{rule.value}"] = entry
@@ -551,17 +546,15 @@ def _verify_gumbel(seed):
 
 
 def _verify_closed_form_zones():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        zu = zones.zone_closed_form(Uniform())
-        require(abs(zu.c - 1 / 6) <= 1e-12, f"uniform c {zu.c}")
-        z2 = zones.zone_closed_form(SymmetricBeta(2.0))
-        # The closed-form c is the supremum; the strict condition holds just
-        # inside it and fails just outside.
-        inside = zones.check_condition(SymmetricBeta(2.0), z2.c - 1e-6)
-        outside = zones.check_condition(SymmetricBeta(2.0), z2.c + 1e-3)
-        require(inside.satisfied, "Beta(2,2) condition fails just inside the bound")
-        require(not outside.satisfied, "Beta(2,2) bound is not tight")
+    zu = zones.zone_closed_form(Uniform())
+    require(abs(zu.c - 1 / 6) <= 1e-12, f"uniform c {zu.c}")
+    z2 = zones.zone_closed_form(SymmetricBeta(2.0))
+    # The closed-form c is the supremum; the strict condition holds just
+    # inside it and fails just outside.
+    inside = zones.check_condition(SymmetricBeta(2.0), z2.c - 1e-6)
+    outside = zones.check_condition(SymmetricBeta(2.0), z2.c + 1e-3)
+    require(inside.satisfied, "Beta(2,2) condition fails just inside the bound")
+    require(not outside.satisfied, "Beta(2,2) bound is not tight")
     return {"uniform_c": zu.c, "beta2_c": z2.c}
 
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chunks import check_int
 from .dist import VoterDistribution
-from .errors import DomainError, InvalidProfileError
+from .errors import DomainError, InvalidProfileError, check_int
 
 __all__ = [
     "Rule",
@@ -88,7 +87,7 @@ class Profile:
         return float(self._sorted[j])
 
     def __repr__(self):
-        return f"Profile({list(self._sorted)})"
+        return f"Profile({self._sorted.tolist()})"
 
 
 @dataclass(frozen=True)

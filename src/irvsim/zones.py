@@ -32,19 +32,18 @@ claim can fail: under Beta(0.3, 0.3) voters, [0.449, 0.822, 0.863, 0.877,
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .chunks import check_int
 from .dist import Monotonicity, VoterDistribution
 from .errors import (
     DomainError,
     NoZoneError,
     UnconstructibleError,
     UnsupportedRegimeError,
+    check_int,
 )
 from .tabulate import Profile, vote_shares
 
@@ -82,8 +81,15 @@ class ExclusionZone:
     def __post_init__(self):
         if not (0.0 <= self.c <= 0.5):
             raise DomainError("zone parameter c must lie in [0, 1/2]")
-        if self.c == 0.0:
-            warnings.warn("degenerate zero-width exclusion zone (c = 0)", stacklevel=3)
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the zone claim says nothing: c = 0, or c within 1e-9 of 1/2.
+
+        At c = 0 a moderate interval is all of [0, 1], and an extreme pair is
+        only the points 0 and 1. Near c = 1/2 an extreme pair covers [0, 1].
+        """
+        return bool(self.c <= 0.0 or self.c >= 0.5 - 1e-9)
 
     @property
     def zone_kind(self) -> ZoneKind:
@@ -112,7 +118,8 @@ class ExclusionZone:
         return binds & ~self.contains_winner(winners)
 
     def to_json(self) -> dict:
-        return {"c": self.c, "kind": self.zone_kind.value, "regime": self.regime.value}
+        return {"c": self.c, "kind": self.zone_kind.value, "regime": self.regime.value,
+                "degenerate": self.degenerate}
 
 
 class ConditionCheck(NamedTuple):
@@ -203,26 +210,20 @@ def small_k_counterexample() -> Profile:
     return Profile([0.01, 0.2, 0.5, 0.8, 1.0])
 
 
-def tightness_profile(c: float, k: int, eps: float | None = None) -> Profile:
+def tightness_profile(c: float, k: int) -> Profile:
     """Profile witnessing that no interval [c, 1-c] with c > 1/6 is a uniform zone.
 
     Candidates at c, 1/2, and 1-c, with any remaining k-3 packed into
-    (1-eps, 1]. Under uniform voters the packed extremists are eliminated
-    first, then the middle candidate, so the winner falls outside (c, 1-c)
-    despite the candidate at 1/2.
+    [1 - (1/2 - c)/8, 1]. Under uniform voters the packed extremists are
+    eliminated first, then the middle candidate, so the winner falls outside
+    (c, 1-c) despite the candidate at 1/2.
     """
-    if not c > 1.0 / 6.0:
-        raise DomainError("requires c > 1/6")
-    if c >= 0.5:
-        raise DomainError("requires c < 1/2")
+    if not (1.0 / 6.0 < c < 0.5):
+        raise DomainError("requires 1/6 < c < 1/2")
     k = check_int("k", k, 3)
-    if eps is None:
-        eps = (0.5 - c) / 4.0
-    if not (0.0 < eps < (0.5 - c) / 2.0):
-        raise DomainError("requires 0 < eps < (1/2 - c)/2")
     positions = [c, 0.5, 1.0 - c]
     if k > 3:
-        positions.extend(np.linspace(1.0 - eps / 2.0, 1.0, k - 3))
+        positions.extend(np.linspace(1.0 - (0.5 - c) / 8.0, 1.0, k - 3))
     return Profile(positions)
 
 

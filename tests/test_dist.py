@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -42,6 +43,12 @@ def test_domain_errors():
     # NaN lies outside [0, 1] too; the Beta table would index with it.
     with pytest.raises(DomainError, match="x must lie in"):
         SymmetricBeta(2.0).cdf(np.array([0.5, np.nan]))
+
+
+def test_beta_alpha_is_bounded_where_its_accuracy_is_measured():
+    assert SymmetricBeta(1e4).alpha == 1e4
+    with pytest.raises(DomainError, match="at most 10000, got 10000.000000000002"):
+        SymmetricBeta(math.nextafter(1e4, math.inf))
 
 
 def test_beta_alpha_one_matches_uniform_exactly():

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -607,6 +608,14 @@ def test_package_import_loads_no_numpy():
     assert proc.stdout.split()[:2] == ["False", "None"]
 
 
+def test_math_modules_load_no_trial_engine():
+    code = ("import sys, irvsim.zones, irvsim.exactk3\n"
+            "print('irvsim.chunks' in sys.modules, 'concurrent.futures' in sys.modules)\n")
+    proc = _run_python([], code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def _assert_cli_import_pins_openblas(**environ):
     proc = _run_python([], "import irvsim.cli\n" + _THREADS, **environ)
     assert proc.returncode == 0, proc.stderr
@@ -661,6 +670,30 @@ def test_cli_zone(capsys):
     assert cli.main(["zone", "--dist", "uniform"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["c"] == pytest.approx(1 / 6, abs=1e-12)
+    assert out["degenerate"] is False
+
+
+# Small runs of every subcommand, with every warning raised as an error. The
+# table is 0.4 + cos^2(2 pi x), the goldens' table, which has no interior zero.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "3", "5", "--trials", "300"],
+    ["simulate", "--dist", "table:cos2.csv", "--k", "4", "--trials", "300"],
+    ["scatter", "--k", "3", "6", "--trials", "300"],
+    ["density", "--points", "11"],
+    ["gumbel", "--mode", "share", "--k", "200", "--trials", "50"],
+    ["gumbel", "--mode", "circle", "--k", "200", "--trials", "50"],
+    ["betasweep", "--alpha", "0.3", "0.5", "1", "2", "5", "--k", "8", "--trials", "300"],
+    ["zone", "--dist", "beta:0.5"],
+    ["verify"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_cli_runs_without_a_warning(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rows = [f"{i / 200!r},{0.4 + math.cos(math.pi * i / 100) ** 2!r}" for i in range(201)]
+    (tmp_path / "cos2.csv").write_text("\n".join(["x,density", *rows]) + "\n")
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    if argv[0] == "zone":  # c = 0: the zone says nothing, and says so in its JSON
+        assert json.loads(capsys.readouterr().out)["degenerate"] is True
 
 
 def test_cli_usage_error_exit_code():
@@ -714,6 +747,10 @@ def test_cli_usage_error_exit_code():
     pytest.param(["simulate", "--out", "x" * 300, "--trials", "10"], "x" * 300,
                  id="out-name-too-long"),
     (["simulate", "--out", "D/sub", "--trials", "0"], "trials must be >= 1"),
+    # Past the largest alpha whose CDF accuracy is measured, before any work.
+    (["zone", "--dist", "beta:1e300"], "alpha must be positive and finite and at most 10000"),
+    (["betasweep", "--alpha", "2", "1e5", "--k", "5", "--trials", "10"],
+     "alpha must be positive and finite and at most 10000"),
 ])
 def test_cli_bad_input_exits_1_with_message(argv, named, tmp_path, monkeypatch, capsys,
                                             recwarn):

@@ -51,6 +51,10 @@ def test_profile_validation():
         Profile([0.5, 1.1])
 
 
+def test_profile_repr_prints_plain_floats():
+    assert repr(Profile([0.0, 0.1])) == "Profile([0.0, 0.1])"
+
+
 def test_profile_preserves_original_labels():
     p = Profile([0.9, 0.1, 0.5])
     assert p.position(0) == 0.9

@@ -260,8 +260,6 @@ def test_tightness_profile_validation():
         tightness_profile(0.1, 5)  # c <= 1/6 needs no witness
     with pytest.raises(DomainError):
         tightness_profile(0.2, 2)
-    with pytest.raises(DomainError):
-        tightness_profile(0.2, 5, eps=0.2)  # eps too large
 
 
 def test_force_plurality_winner_uniform():
@@ -379,13 +377,18 @@ def test_force_plurality_winner_rejects_endpoints():
         force_plurality_winner(Profile([0.5, 1.0]), 1, U)
 
 
-def test_degenerate_zone_warns():
-    # Arcsine-law boundary: F(1/4) = 1/3, the moderate interval collapses.
-    d = SymmetricBeta(0.5)
-    z = zone_closed_form(d)
-    # either regime classification is acceptable at the boundary, but the
-    # bound must be degenerate: covering nothing or everything.
-    assert z.c <= 1e-9 or z.c >= 0.5 - 1e-9
+# Degenerate, and without a warning, only at c = 0 (alpha = 1/2, the arcsine
+# law, where F(1/4) = 1/3 and the moderate interval collapses) and within 1e-9
+# of 1/2 (alpha just below 1/2, where the extreme pair covers [0, 1]).
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, degenerate", [
+    (0.3, False), (0.5, True), (0.49999, False), (0.4999999999, True),
+    (1.0, False), (2.0, False), (5.0, False), (30.0, False),
+])
+def test_beta_zone_degenerate(alpha, degenerate):
+    z = zone_closed_form(SymmetricBeta(alpha))
+    assert z.degenerate is degenerate
+    assert z.to_json()["degenerate"] is degenerate
 
 
 @pytest.mark.parametrize("alpha", (0.05, 0.2, 0.3, 0.45, 0.6, 0.8, 2.0, 5.0, 20.5))
