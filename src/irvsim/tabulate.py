@@ -56,7 +56,7 @@ class Profile:
         pos = np.asarray(list(positions), dtype=float)
         if pos.ndim != 1 or pos.size < 1:
             raise InvalidProfileError("need at least one candidate position")
-        if np.any(pos < 0.0) or np.any(pos > 1.0):
+        if not np.all((pos >= 0.0) & (pos <= 1.0)):  # NaN fails both tests
             raise InvalidProfileError("candidate positions must lie in [0, 1]")
         order = np.argsort(pos, kind="stable")
         srt = pos[order]
@@ -270,6 +270,8 @@ def midpoint_cdf(sorted_pos: np.ndarray, d: VoterDistribution) -> np.ndarray:
 def shares_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None) -> np.ndarray:
     """Row-wise vote shares for a (trials, k) array of sorted positions and its midpoint_cdf."""
     n, k = sorted_pos.shape
+    if k < 1:
+        raise InvalidProfileError("need at least one candidate position")
     if k == 1:
         return np.ones((n, 1))
     cuts = np.empty((n, k + 1))
@@ -289,6 +291,12 @@ def plurality_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
     return sorted_pos[np.arange(sorted_pos.shape[0]), j], tie
 
 
+def _select(out, a, b, keep):
+    """out = a where keep else b, moving bits: b ^ ((a ^ b) * keep) on int64 views."""
+    out, a, b = (x.view(np.int64) for x in (out, a, b))
+    np.bitwise_xor(np.multiply(np.bitwise_xor(a, b, out=out), keep, out=out), b, out=out)
+
+
 def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
     """IRV winner positions and tie flags for each row of sorted positions.
 
@@ -296,39 +304,46 @@ def irv_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
     each adjacent active pair), 1, and its shares are their differences.
     Dropping candidate j merges the two cuts around it, so only a row whose j
     was interior needs one new value, F(0.5 * (left + right)). That is
-    2k - 3 CDF values per row instead of k(k - 1)/2, and each cut is the
-    same expression a full recompute evaluates, so winners and tie flags are
-    identical to recomputing every share each round.
+    2k - 3 CDF values per row instead of k(k - 1)/2.
 
     The loser is the leftmost candidate at the minimal share; a row's tie
     flag is set when any round's minimum is shared exactly. `mid_cdf` is
     midpoint_cdf(sorted_pos, d), the first round's cuts, computed when not given.
+
+    Outputs are bit-identical to recomputing every share each round: each cut
+    is the same F(0.5 * (left + right)) on the same operands, compaction is a
+    bit select that moves floats unchanged, and with active row r weighted
+    m - r the largest weight at the minimum is the first minimal row's. The
+    counters' type min_scalar_type(k) holds every weight and tie count.
     """
-    pos = np.asarray(sorted_pos, dtype=float)
-    n, k = pos.shape
-    # Candidate-major layout: each round's reductions run over rows at once.
-    pos = np.ascontiguousarray(pos.T)
+    n, k = np.shape(sorted_pos)
+    if k < 1:
+        raise InvalidProfileError("need at least one candidate position")
     tie = np.zeros(n, dtype=bool)
+    # Candidate-major layout: each round's reductions run over rows at once.
+    # Three (k + 1, n) buffers rotate: positions, cuts and a free one.
+    pos, cuts = np.empty((k + 1, n)), np.empty((k + 1, n))
+    pos[:k] = np.asarray(sorted_pos, dtype=float).T
     if k == 1:
         return pos[0], tie
-    cols = np.arange(n)
-    cuts = np.empty((k + 1, n))
-    cuts[0] = 0.0
-    cuts[-1] = 1.0
-    cuts[1:-1] = (midpoint_cdf(pos.T, d) if mid_cdf is None else mid_cdf).T
+    cuts[0], cuts[k] = 0.0, 1.0
+    cuts[1:k] = (midpoint_cdf(pos[:k].T, d) if mid_cdf is None else mid_cdf).T
+    free, r, cols = np.empty((k + 1, n)), np.arange(k - 1)[:, None], np.arange(n)
+    w = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
     for m in range(k, 1, -1):
-        shares = np.diff(cuts, axis=0)
-        at_low = shares == shares.min(axis=0)
-        del shares  # freed before the compaction below allocates its arrays
-        tie |= np.count_nonzero(at_low, axis=0) > 1
-        j = np.argmax(at_low, axis=0)  # first minimum: eliminate leftmost
+        shares = np.subtract(cuts[1 : m + 1], cuts[:m], out=free[:m])
+        low = shares == shares.min(axis=0)
+        tie |= np.add.reduce(low, axis=0, dtype=w.dtype) > 1
+        j = m - np.maximum.reduce(low * w[k - m :], axis=0)  # leftmost minimum
         if m == 2:
             return pos[1 - j, cols], tie
         # Drop candidate j and the cut to its right (to its left if it is the
-        # rightmost, keeping the final cut at 1).
-        pos = np.where(np.arange(m - 1)[:, None] < j, pos[:-1], pos[1:])
-        dropped = np.minimum(j + 1, m - 1)
-        cuts = np.where(np.arange(m)[:, None] < dropped, cuts[:-1], cuts[1:])
+        # rightmost, keeping the final cut at 1). The shares' buffer takes the
+        # positions and the old positions' buffer takes the cuts.
+        _select(free[: m - 1], pos[: m - 1], pos[1:m], r[: m - 1] < j)
+        _select(pos[: m - 1], cuts[: m - 1], cuts[1:m], r[: m - 1] <= j)
+        pos, cuts, free = free, pos, cuts
+        cuts[m - 1] = 1.0
         inner = np.nonzero((j > 0) & (j < m - 1))[0]
         if inner.size:
             ji = j[inner]

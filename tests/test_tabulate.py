@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from irvsim.tabulate import (
     irv_batch,
     irv_discrete,
     irv_winner,
+    midpoint_cdf,
     plurality_batch,
     plurality_winner,
     sample_ballots,
@@ -49,6 +51,18 @@ def test_profile_validation():
         Profile([-0.1, 0.5])
     with pytest.raises(InvalidProfileError):
         Profile([0.5, 1.1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_positions(bad):
+    with pytest.raises(InvalidProfileError, match=r"must lie in \[0, 1\]"):
+        Profile([0.2, bad, 0.7])
+
+
+@pytest.mark.parametrize("tabulator", [irv_batch, plurality_batch])
+def test_batch_rejects_rows_without_candidates(tabulator):
+    with pytest.raises(InvalidProfileError, match="need at least one candidate position"):
+        tabulator(np.zeros((3, 0)), U)
 
 
 def test_profile_repr_prints_plain_floats():
@@ -289,8 +303,13 @@ def _irv_batch_full_recompute(sorted_pos, d):
     return pos[:, 0], tie
 
 
-def _grid_profiles(k, n, rng, denominator=16):
-    """Sorted rows on a coarse dyadic grid, where exact share ties are common."""
+def _grid_profiles(k, n, rng, denominator=None):
+    """Sorted rows on a coarse dyadic grid, where exact share ties are common.
+
+    The default grid has 16 steps up to k = 8 and the power of two at or above
+    k^2 beyond, so that most rows still hold k distinct points."""
+    if denominator is None:
+        denominator = 16 if k <= 8 else 1 << (k * k - 1).bit_length()
     pos = np.sort(rng.integers(0, denominator + 1, (n, k)) / denominator, axis=1)
     return pos[np.all(np.diff(pos, axis=1) > 0, axis=1)]
 
@@ -299,14 +318,47 @@ def _grid_profiles(k, n, rng, denominator=16):
 def test_irv_batch_matches_full_recompute_bitwise(name):
     d = DISTS[name]
     rng = np.random.default_rng(11)
-    for k in (1, 2, 3, 4, 5, 8, 13, 30):
-        for pos in (sample_sorted_positions(d, k, 500, rng), _grid_profiles(k, 500, rng)):
+    # k > 255 needs 16-bit counters for the weights and tie counts.
+    for k in (1, 2, 3, 4, 5, 8, 13, 30, 60, 257, 300):
+        n = 500 if k <= 30 else 100 if k <= 60 else 12
+        for pos in (sample_sorted_positions(d, k, n, rng), _grid_profiles(k, n, rng)):
             w, tie = irv_batch(pos, d)
             w_ref, tie_ref = _irv_batch_full_recompute(pos, d)
             assert w.tobytes() == w_ref.tobytes()
             assert np.array_equal(tie, tie_ref)
+            w_mid, tie_mid = irv_batch(pos, d, midpoint_cdf(pos, d))
+            assert w_mid.tobytes() == w.tobytes()
+            assert np.array_equal(tie_mid, tie)
     # The grid rows do produce ties, so the tie path is exercised.
     assert _irv_batch_full_recompute(_grid_profiles(4, 500, rng), U)[1].any()
+
+
+def test_irv_batch_flags_a_256_way_tie():
+    # Candidates at (2i + 1)/1024: the first 256 uniform shares are exactly 1/512.
+    # A tie count of 256 and weights up to 257 take irv_batch's 16-bit counters.
+    pos = (2.0 * np.arange(257) + 1.0)[None, :] / 1024
+    assert np.count_nonzero(shares_batch(pos, U) == 1 / 512) == 256
+    w, tie = irv_batch(pos, U)
+    w_ref, tie_ref = _irv_batch_full_recompute(pos, U)
+    assert tie[0] and tie_ref[0]
+    assert w.tobytes() == w_ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["uniform", "beta2"])
+def test_irv_batch_traced_peak_stays_within_four_buffers(name):
+    """One call at k = 30 on 4,096 rows, given its first cuts as the drivers pass
+    them, allocates at most four (k + 1) x n float64 arrays at once."""
+    d = DISTS[name]
+    k, n = 30, 4096
+    pos = sample_sorted_positions(d, k, n, np.random.default_rng(13))
+    mid = midpoint_cdf(pos, d)
+    tracemalloc.start()
+    try:
+        irv_batch(pos, d, mid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (k + 1) * n * 8
 
 
 _profile_point = st.one_of(
