@@ -25,7 +25,6 @@ from .tabulate import irv_batch, plurality_batch, shares_batch  # noqa: F401
 __all__ = [
     "gumbel_cdf",
     "spacings",
-    "gaps_from_uniform",
     "GumbelExperimentResult",
     "winning_share_experiment",
     "max_gap_experiment",
@@ -104,13 +103,6 @@ def _spacing_statistics(n: int, trials: int, seed: int, experiment_id: str, thre
 
     return np.concatenate(map_chunks(chunk, seed, experiment_id, trials, threads,
                                      draws_per_trial=n))
-
-
-def gaps_from_uniform(n: int, rng) -> np.ndarray:
-    """The n spacings of [0, 1] cut at n - 1 sorted uniform breakpoints."""
-    n = check_int("n", n, 1)
-    cuts = np.sort(rng.random(n - 1))
-    return np.diff(np.concatenate(([0.0], cuts, [1.0])))
 
 
 @dataclass(frozen=True)

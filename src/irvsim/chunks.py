@@ -45,7 +45,7 @@ def map_chunks(fn, seed: int, experiment_id: str, trials: int, threads: int = 1,
     trials = check_int("trials", trials, 1)
     threads = check_int("threads", threads, 1)
     size = (TRIALS_PER_CHUNK if draws_per_trial is None
-            else max(1, DRAWS_PER_CHUNK // draws_per_trial))
+            else max(1, DRAWS_PER_CHUNK // check_int("draws_per_trial", draws_per_trial, 1)))
     args = [(slice(start, min(start + size, trials)), chunk_rng(seed, experiment_id, i))
             for i, start in enumerate(range(0, trials, size))]
     if threads > 1:

@@ -2,9 +2,8 @@
 
 All distributions expose a density, CDF, quantile and seeded sampling
 (inverse transform, except that `SymmetricBeta` uses numpy's exact Beta
-sampler), plus the shape classification (monotonicity of the density on the
-left half and the hyper-polarization test F(1/4) > 1/3) that the exclusion
-zone solvers dispatch on. Distributions are immutable after construction and
+sampler), plus `classify_shape()`, the `Regime` that the exclusion zone
+solvers dispatch on. Distributions are immutable after construction and
 safe to share across threads; RNG state is always owned by the caller.
 """
 
@@ -26,8 +25,7 @@ __all__ = [
     "Uniform",
     "SymmetricBeta",
     "Tabulated",
-    "Monotonicity",
-    "ShapeClass",
+    "Regime",
     "parse_dist_spec",
 ]
 
@@ -37,26 +35,32 @@ _SLOPE_TOL = 1e-9
 _SYMMETRY_TOL = 1e-8
 
 
-class Monotonicity(enum.Enum):
-    NON_DECREASING_LEFT = "non-decreasing on [0, 1/2]"
-    NON_INCREASING_LEFT = "non-increasing on [0, 1/2]"
-    NEITHER = "neither"
+class Regime(enum.Enum):
+    """A distribution's zone case: hyper-polarized if F(1/4) > 1/3, else moderate
+    (polarized) if the density is non-decreasing (non-increasing) on [0, 1/2],
+    else general-numeric."""
+
+    MODERATE = "moderate"
+    POLARIZED = "polarized"
+    HYPER_POLARIZED = "hyper-polarized"
+    GENERAL_NUMERIC = "general-numeric"
 
 
-@dataclass(frozen=True)
-class ShapeClass:
-    """Monotonicity label plus the hyper-polarization flag F(1/4) > 1/3."""
+def _on_unit_interval(method):
+    """The one argument rule of every density, cdf and quantile: the argument must lie
+    in [0, 1] (NaN fails) and reaches `method` as a float array; a scalar gets a float."""
+    name = method.__code__.co_varnames[1]  # x, or p for a quantile
 
-    label: Monotonicity
-    hyper_polarized: bool
+    @functools.wraps(method)
+    def checked(self, arg):
+        arr = np.asarray(arg, dtype=float)
+        # min and max propagate NaN, so a NaN is rejected too.
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            raise DomainError(f"{name} must lie in [0, 1]")
+        out = method(self, arr)
+        return out if arr.ndim else float(out)
 
-
-def _check_unit_interval(x, name):
-    arr = np.asarray(x, dtype=float)
-    # min and max propagate NaN, so a NaN is rejected too.
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return arr
+    return checked
 
 
 class VoterDistribution:
@@ -79,7 +83,8 @@ class VoterDistribution:
         u = rng.random(size)
         return self.quantile(u)
 
-    def classify_shape(self) -> ShapeClass:
+    def classify_shape(self) -> Regime:
+        """The zone regime of this distribution; see Regime."""
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -89,20 +94,20 @@ class VoterDistribution:
 
 @dataclass(frozen=True)
 class Uniform(VoterDistribution):
+    @_on_unit_interval
     def density(self, x):
-        x = _check_unit_interval(x, "x")
-        return np.ones_like(x) if x.ndim else 1.0
+        return np.ones_like(x)
 
+    @_on_unit_interval
     def cdf(self, x):
-        x = _check_unit_interval(x, "x")
-        return x if x.ndim else float(x)
+        return x
 
+    @_on_unit_interval
     def quantile(self, p):
-        p = _check_unit_interval(p, "p")
-        return p if p.ndim else float(p)
+        return p
 
-    def classify_shape(self) -> ShapeClass:
-        return ShapeClass(Monotonicity.NON_DECREASING_LEFT, hyper_polarized=False)
+    def classify_shape(self) -> Regime:
+        return Regime.MODERATE
 
     def spec(self) -> str:
         return "uniform"
@@ -202,23 +207,22 @@ class SymmetricBeta(VoterDistribution):
             raise DomainError(f"alpha must be positive and finite and at most "
                               f"{_BETA_MAX_ALPHA:g}, got {self.alpha!r}")
 
+    @_on_unit_interval
     def density(self, x):
-        x = _check_unit_interval(x, "x")
         if self.alpha == 1.0:
-            return np.ones_like(x) if x.ndim else 1.0
+            return np.ones_like(x)
         a = self.alpha
         log_beta = 2.0 * math.lgamma(a) - math.lgamma(2.0 * a)
         with np.errstate(divide="ignore", over="ignore"):
-            d = np.exp((a - 1.0) * (np.log(x) + np.log1p(-x)) - log_beta)
-        return d if x.ndim else float(d)
+            return np.exp((a - 1.0) * (np.log(x) + np.log1p(-x)) - log_beta)
 
+    @_on_unit_interval
     def cdf(self, x):
-        x = _check_unit_interval(x, "x")
         if self.alpha == 1.0:
-            return x if x.ndim else float(x)
-        c = _beta_cdf(self.alpha, x)
-        return c if x.ndim else float(c)
+            return x
+        return _beta_cdf(self.alpha, x)
 
+    @_on_unit_interval
     def quantile(self, p):
         """Safeguarded Newton on log F: a step that leaves the bracket bisects it.
 
@@ -228,9 +232,8 @@ class SymmetricBeta(VoterDistribution):
         once a step moves it by at most an ulp, so it does not depend on the
         rest of its batch; a scalar p is solved as a batch of one.
         """
-        p = _check_unit_interval(p, "p")
         if self.alpha == 1.0:
-            return p if p.ndim else float(p)
+            return p
         a = self.alpha
         r = np.minimum(p, 1.0 - p).ravel()  # exact: 1 - p is exact for p >= 1/2
         q = np.minimum((r / _beta_table(a)[3]) ** (1.0 / a) / 4.0, 0.5)
@@ -252,8 +255,7 @@ class SymmetricBeta(VoterDistribution):
             q = step
             if np.all(settled):
                 break
-        q = np.where(p.ravel() > 0.5, 1.0 - q, q).reshape(p.shape)
-        return q if p.ndim else float(q)
+        return np.where(p.ravel() > 0.5, 1.0 - q, q).reshape(p.shape)
 
     def sample(self, rng, size=None):
         """numpy's exact Beta sampler: Johnk's method for alpha <= 1, two gammas above.
@@ -265,15 +267,15 @@ class SymmetricBeta(VoterDistribution):
             return rng.random(size)
         return rng.beta(self.alpha, self.alpha, size)
 
-    def classify_shape(self) -> ShapeClass:
-        """Hyper-polarized exactly when alpha < 1/2.
+    def classify_shape(self) -> Regime:
+        """Hyper-polarized exactly when alpha < 1/2, else polarized below alpha = 1.
 
         F(1/4) decreases strictly in alpha and is 1/3 at alpha = 1/2, so the
-        class follows from alpha, not from a rounded F(1/4).
+        regime follows from alpha, not from a rounded F(1/4).
         """
-        label = (Monotonicity.NON_DECREASING_LEFT if self.alpha >= 1.0
-                 else Monotonicity.NON_INCREASING_LEFT)
-        return ShapeClass(label, hyper_polarized=self.alpha < 0.5)
+        if self.alpha < 0.5:
+            return Regime.HYPER_POLARIZED
+        return Regime.POLARIZED if self.alpha < 1.0 else Regime.MODERATE
 
     def spec(self) -> str:
         return f"beta:{self.alpha!r}"  # repr: {:g} would merge alphas equal to 6 digits
@@ -335,22 +337,17 @@ class Tabulated(VoterDistribution):
         for arr in (self._grid, self._dens, self._cum):
             arr.setflags(write=False)
 
+    @_on_unit_interval
     def density(self, x):
-        x = _check_unit_interval(x, "x")
-        d = np.interp(x, self._grid, self._dens)
-        return d if x.ndim else float(d)
+        return np.interp(x, self._grid, self._dens)
 
+    @_on_unit_interval
     def cdf(self, x):
-        x = _check_unit_interval(x, "x")
-        xa = np.atleast_1d(x)
-        i = np.clip(np.searchsorted(self._grid, xa, side="right") - 1, 0, self._grid.size - 2)
-        x0 = self._grid[i]
-        f0 = self._dens[i]
-        fx = np.interp(xa, self._grid, self._dens)
-        c = self._cum[i] + 0.5 * (f0 + fx) * (xa - x0)
-        c = np.clip(c, 0.0, 1.0)
-        return c if np.ndim(x) else float(c[0])
+        i = np.clip(np.searchsorted(self._grid, x, side="right") - 1, 0, self._grid.size - 2)
+        fx = np.interp(x, self._grid, self._dens)
+        return np.clip(self._cum[i] + 0.5 * (self._dens[i] + fx) * (x - self._grid[i]), 0.0, 1.0)
 
+    @_on_unit_interval
     def quantile(self, p):
         """Exact inverse of the piecewise-quadratic CDF.
 
@@ -359,29 +356,26 @@ class Tabulated(VoterDistribution):
         r = p - cum_i: the root written without cancellation, finite at
         s = 0 and 0 where the density and the remaining mass both vanish.
         """
-        p = _check_unit_interval(p, "p")
-        pa = np.atleast_1d(p)
         x, f = self._grid, self._dens
-        i = np.clip(np.searchsorted(self._cum, pa, side="right") - 1, 0, x.size - 2)
-        r = pa - self._cum[i]
+        i = np.clip(np.searchsorted(self._cum, p, side="right") - 1, 0, x.size - 2)
+        r = p - self._cum[i]
         s = (f[i + 1] - f[i]) / (x[i + 1] - x[i])
         # f_i² + 2sr is f(q)² >= 0 in exact arithmetic; rounding may dip below.
         den = f[i] + np.sqrt(np.maximum(f[i] ** 2 + 2.0 * s * r, 0.0))
         t = np.divide(2.0 * r, den, out=np.zeros_like(r), where=den > 0)
-        q = np.minimum(x[i] + t, x[i + 1])
-        return q if np.ndim(p) else float(q[0])
+        return np.minimum(x[i] + t, x[i + 1])
 
-    def classify_shape(self) -> ShapeClass:
+    def classify_shape(self) -> Regime:
+        """F(1/4) > 1/3 first, then the slopes of the table on [0, 1/2]."""
+        if self.cdf(0.25) > 1.0 / 3.0:
+            return Regime.HYPER_POLARIZED
         left = self._grid <= 0.5
         slopes = np.diff(self._dens[left]) / np.diff(self._grid[left])
-        nondec = bool(np.all(slopes >= -_SLOPE_TOL)) if slopes.size else True
-        noninc = bool(np.all(slopes <= _SLOPE_TOL)) if slopes.size else True
-        hyper = float(self.cdf(0.25)) > 1.0 / 3.0
-        if nondec:
-            return ShapeClass(Monotonicity.NON_DECREASING_LEFT, hyper_polarized=hyper)
-        if noninc:
-            return ShapeClass(Monotonicity.NON_INCREASING_LEFT, hyper_polarized=hyper)
-        return ShapeClass(Monotonicity.NEITHER, hyper_polarized=hyper)
+        if np.all(slopes >= -_SLOPE_TOL):
+            return Regime.MODERATE
+        if np.all(slopes <= _SLOPE_TOL):
+            return Regime.POLARIZED
+        return Regime.GENERAL_NUMERIC
 
     def spec(self) -> str:
         # A digest of the table, so that its path does not matter.

@@ -105,19 +105,9 @@ class TabulationOutcome:
     tie_events: tuple = field(default_factory=tuple)  # (round_index, tied originals)
 
 
-def _shares_sorted(srt: np.ndarray, d: VoterDistribution) -> np.ndarray:
-    """Shares for already-sorted positions: F-mass between adjacent midpoints."""
-    if srt.size == 1:
-        return np.array([1.0])
-    mids = 0.5 * (srt[:-1] + srt[1:])
-    f = np.asarray(d.cdf(mids))
-    cuts = np.concatenate(([0.0], f, [1.0]))
-    return np.diff(cuts)
-
-
 def vote_shares(p: Profile, d: VoterDistribution) -> np.ndarray:
     """Vote shares for the sorted candidates of `p` under voter distribution `d`."""
-    return _shares_sorted(p.sorted_positions, d)
+    return shares_batch(p.sorted_positions[None, :], d)[0]
 
 
 def plurality_winner(p: Profile, d: VoterDistribution):
@@ -152,7 +142,7 @@ def irv_winner(p: Profile, d: VoterDistribution):
     elim = []
     ties = []
     while srt.size > 1:
-        shares = _shares_sorted(srt, d)
+        shares = shares_batch(srt[None, :], d)[0]
         rounds.append(Round(tuple(originals), tuple(shares)))
         low = shares.min()
         tied = np.nonzero(shares == low)[0]
@@ -264,7 +254,7 @@ def sample_sorted_positions(d: VoterDistribution, k: int, trials: int, rng) -> n
 
 def midpoint_cdf(sorted_pos: np.ndarray, d: VoterDistribution) -> np.ndarray:
     """(trials, k - 1) F at adjacent sorted positions' midpoints: both rules' first-round cuts."""
-    return np.asarray(d.cdf(0.5 * (sorted_pos[:, :-1] + sorted_pos[:, 1:])))
+    return d.cdf(0.5 * (sorted_pos[:, :-1] + sorted_pos[:, 1:]))
 
 
 def shares_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import Monotonicity, VoterDistribution
+from .dist import Regime, VoterDistribution
 from .errors import (
     DomainError,
     NoZoneError,
@@ -49,7 +49,6 @@ from .tabulate import Profile, vote_shares
 
 __all__ = [
     "ZoneKind",
-    "Regime",
     "ExclusionZone",
     "ConditionCheck",
     "check_condition",
@@ -64,13 +63,6 @@ __all__ = [
 class ZoneKind(enum.Enum):
     MODERATE_INTERVAL = "moderate-interval"  # [c, 1-c]
     EXTREME_PAIR = "extreme-pair"  # [0, c] ∪ [1-c, 1]
-
-
-class Regime(enum.Enum):
-    MODERATE = "moderate"
-    POLARIZED = "polarized"
-    HYPER_POLARIZED = "hyper-polarized"
-    GENERAL_NUMERIC = "general-numeric"
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,7 @@ def check_condition(d: VoterDistribution, c: float) -> ConditionCheck:
     if not (0.0 < c < 0.5):
         raise DomainError("c must lie in (0, 1/2)")
     x = np.linspace(c, 0.5, _CONDITION_GRID_POINTS)
-    g = np.asarray(d.cdf((x + 1.0 - c) / 2.0)) - np.asarray(d.cdf((c + x) / 2.0))
+    g = d.cdf((x + 1.0 - c) / 2.0) - d.cdf((c + x) / 2.0)
     j = int(np.argmin(g))
     ok = bool(g[j] > 1.0 / 3.0 + _CONDITION_MARGIN)
     return ConditionCheck(ok, float(g[j]), None if ok else float(x[j]))
@@ -152,20 +144,19 @@ def zone_closed_form(d: VoterDistribution) -> ExclusionZone:
     Polarized (non-increasing, F(1/4) < 1/3): c = 2(F^{-1}(1/3) - 1/4).
     Hyper-polarized (F(1/4) > 1/3): extreme pair with c = 2 F^{-1}(1/3).
     """
-    shape = d.classify_shape()
-    if shape.hyper_polarized:
-        c = 2.0 * float(d.quantile(1.0 / 3.0))
-        return ExclusionZone(c, Regime.HYPER_POLARIZED)
-    if shape.label is Monotonicity.NON_DECREASING_LEFT:
-        c = float(d.quantile(1.0 / 6.0))
-        return ExclusionZone(c, Regime.MODERATE)
-    if shape.label is Monotonicity.NON_INCREASING_LEFT:
-        c = 2.0 * (float(d.quantile(1.0 / 3.0)) - 0.25)
-        return ExclusionZone(max(c, 0.0), Regime.POLARIZED)
-    raise UnsupportedRegimeError(
-        "density is not monotone on [0, 1/2] and F(1/4) < 1/3; "
-        "use min_zone_numeric instead"
-    )
+    regime = d.classify_shape()
+    if regime is Regime.HYPER_POLARIZED:
+        c = 2.0 * d.quantile(1.0 / 3.0)
+    elif regime is Regime.MODERATE:
+        c = d.quantile(1.0 / 6.0)
+    elif regime is Regime.POLARIZED:
+        c = max(2.0 * (d.quantile(1.0 / 3.0) - 0.25), 0.0)
+    else:
+        raise UnsupportedRegimeError(
+            "density is not monotone on [0, 1/2] and F(1/4) < 1/3; "
+            "use min_zone_numeric instead"
+        )
+    return ExclusionZone(c, regime)
 
 
 # min_zone_numeric checks c = _SEARCH_LO once, then bisects [_SEARCH_LO, 1/2]

@@ -10,7 +10,6 @@ from irvsim.asymptotics import (
     _gap_shares,
     _spacing_blocks,
     circle_coupling_experiment,
-    gaps_from_uniform,
     gumbel_cdf,
     ks_statistic,
     max_gap_experiment,
@@ -60,6 +59,13 @@ def test_blocked_ks_equals_one_shot(n):
     ]
     for samples, cdf in cases:
         assert ks_statistic(samples, cdf) == _ks_one_shot(samples, cdf)
+
+
+def gaps_from_uniform(n, rng):
+    """The n spacings of [0, 1] cut at n - 1 sorted uniform breakpoints: the
+    sorted-uniform construction that `spacings` is checked against."""
+    cuts = np.sort(rng.random(n - 1))
+    return np.diff(np.concatenate(([0.0], cuts, [1.0])))
 
 
 def test_stick_breaking_invariants():

@@ -15,6 +15,8 @@ _PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import tracer
+# Decorated methods carry __wrapped__ already, so each must also be a new object.
+originals = {(cls, attr): cls.__dict__[attr] for cls, attr, _, _ in tracer._method_targets()}
 tracer.install(tracer.Tracer())
 from irvsim import asymptotics, cli, experiments, zones
 
@@ -24,7 +26,7 @@ def wrapped(fn):
 missing = [name for module, attr, name, _ in tracer._function_targets()
            if not wrapped(getattr(module, attr))]
 missing += [name for cls, attr, name, _ in tracer._method_targets()
-            if not wrapped(cls.__dict__[attr])]
+            if not wrapped(cls.__dict__[attr]) or cls.__dict__[attr] is originals[cls, attr]]
 # Names bound with `from ... import` are rebound too.
 rebound = {"experiments._map_chunks": experiments._map_chunks,
            "asymptotics.irv_batch": asymptotics.irv_batch,

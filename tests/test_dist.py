@@ -7,7 +7,7 @@ import pytest
 from irvsim import dist
 from irvsim.asymptotics import ks_statistic
 from irvsim.dist import (
-    Monotonicity,
+    Regime,
     SymmetricBeta,
     Tabulated,
     Uniform,
@@ -27,8 +27,8 @@ def test_uniform_basics():
 
 def test_uniform_shape():
     s = Uniform().classify_shape()
-    assert s.label is Monotonicity.NON_DECREASING_LEFT
-    assert not s.hyper_polarized
+    assert s is Regime.MODERATE
+    assert s is not Regime.HYPER_POLARIZED
 
 
 def test_domain_errors():
@@ -89,20 +89,20 @@ def test_beta_two_quantile_sixth():
 
 
 def test_beta_shape_classification():
-    assert SymmetricBeta(2.0).classify_shape().label is Monotonicity.NON_DECREASING_LEFT
-    assert SymmetricBeta(0.8).classify_shape().label is Monotonicity.NON_INCREASING_LEFT
-    assert not SymmetricBeta(0.8).classify_shape().hyper_polarized
-    assert SymmetricBeta(0.3).classify_shape().hyper_polarized
+    assert SymmetricBeta(2.0).classify_shape() is Regime.MODERATE
+    assert SymmetricBeta(0.8).classify_shape() is Regime.POLARIZED
+    assert SymmetricBeta(0.8).classify_shape() is not Regime.HYPER_POLARIZED
+    assert SymmetricBeta(0.3).classify_shape() is Regime.HYPER_POLARIZED
 
 
 def test_beta_half_is_the_hyper_polarization_boundary():
     # F_alpha(1/4) decreases strictly in alpha and equals 1/3 at alpha = 1/2,
     # so the class is decided from alpha, not from a rounded F(1/4).
-    assert not SymmetricBeta(0.5).classify_shape().hyper_polarized
-    assert SymmetricBeta(np.nextafter(0.5, 0)).classify_shape().hyper_polarized
+    assert SymmetricBeta(0.5).classify_shape() is Regime.POLARIZED
+    assert SymmetricBeta(np.nextafter(0.5, 0)).classify_shape() is Regime.HYPER_POLARIZED
     for alpha in (0.05, 0.3, 0.45, 0.49, 0.51, 0.6, 2.0):
         d = SymmetricBeta(alpha)
-        assert d.classify_shape().hyper_polarized == (d.cdf(0.25) > 1 / 3)
+        assert (d.classify_shape() is Regime.HYPER_POLARIZED) == (d.cdf(0.25) > 1 / 3)
 
 
 # Accuracy of the scipy-free Beta CDF. scipy (and mpmath at large alpha) is
@@ -209,7 +209,7 @@ def test_tabulated_matches_linear_density():
     assert np.allclose(d.cdf(x), 2 * x**2, atol=1e-6)
     p = np.linspace(0.02, 0.98, 20)
     assert np.allclose(d.cdf(d.quantile(p)), p, atol=1e-9)
-    assert d.classify_shape().label is Monotonicity.NON_DECREASING_LEFT
+    assert d.classify_shape() is Regime.MODERATE
 
 
 def _tables():
@@ -283,6 +283,29 @@ def test_tabulated_quantile_closed_forms():
     left = p[p <= 0.5]
     ref = np.sqrt(left / 2)
     assert np.all(np.abs(_tables()["tent"].quantile(left) - ref) <= 8 * np.spacing(ref))
+
+
+CONTRACT_DISTS = {
+    "uniform": Uniform(),
+    "beta0.3": SymmetricBeta(0.3),
+    "beta2": SymmetricBeta(2.0),
+    "tent": _tables()["tent"],
+}
+
+
+@pytest.mark.parametrize("method", ["density", "cdf", "quantile"])
+@pytest.mark.parametrize("name", CONTRACT_DISTS)
+def test_one_argument_rule_for_every_density_cdf_and_quantile(name, method):
+    fn = getattr(CONTRACT_DISTS[name], method)
+    for scalar in (0.2, np.float64(0.2), np.array(0.2)):
+        assert type(fn(scalar)) is float
+    for shape in ((1, 2), (0,), (2, 0)):
+        assert fn(np.full(shape, 0.3)).shape == shape
+    for bad in (np.nan, -0.1, 1.1, [0.2, np.nan]):
+        with pytest.raises(DomainError, match=("p" if method == "quantile" else "x") + " must lie"):
+            fn(bad)
+    x = np.array([0.0, 0.05, 0.2, 0.25, 0.5, 0.7, 0.95, 1.0])
+    assert [fn(v) for v in x.tolist()] == fn(x).tolist()
 
 
 def test_tabulated_rejects_asymmetric():

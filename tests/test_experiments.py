@@ -107,6 +107,13 @@ def test_map_chunks_rejects_a_bad_thread_count(threads):
         asymptotics.max_gap_experiment(10, 1000, 0, threads=threads)
 
 
+@pytest.mark.parametrize("draws_per_trial", [0, 1.5, -3])
+def test_map_chunks_rejects_a_bad_draw_count(draws_per_trial):
+    # 0 divided by zero, 1.5 made a float chunk size and -3 ran 1-trial chunks.
+    with pytest.raises(DomainError, match="draws_per_trial must be"):
+        map_chunks(lambda rows, rng: None, 5, "tile", 10, draws_per_trial=draws_per_trial)
+
+
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     value = 0.1234567890123456789

@@ -178,6 +178,43 @@ def test_non_monotone_density_needs_numeric():
     assert check_condition(d, z.c).satisfied
 
 
+def _table(density):
+    grid = np.linspace(0, 1, 201)
+    return Tabulated(grid, density(grid))
+
+
+# Each table with its regime, or None where no closed form applies.
+REGIME_CASES = {
+    "tent": (lambda x: 2 - np.abs(4 * x - 2), Regime.MODERATE),
+    "v-plus-1": (lambda x: np.abs(4 * x - 2) + 1, Regime.POLARIZED),
+    "v-plus-0.1": (lambda x: np.abs(4 * x - 2) + 0.1, Regime.HYPER_POLARIZED),
+    # Not monotone on [0, 1/2]: only testing F(1/4) > 1/3 before the slopes finds the zone.
+    "bimodal": (lambda x: 0.01 + np.maximum(0, 1 - np.abs(np.minimum(x, 1 - x) - 0.08) / 0.05),
+                Regime.HYPER_POLARIZED),
+    "cos-squared": (lambda x: 0.4 + np.cos(2 * np.pi * x) ** 2, None),
+}
+
+
+@pytest.mark.parametrize("name", REGIME_CASES)
+def test_closed_form_zone_of_a_table_follows_its_regime(name):
+    density, regime = REGIME_CASES[name]
+    d = _table(density)
+    if regime is None:
+        with pytest.raises(UnsupportedRegimeError, match="use min_zone_numeric instead"):
+            zone_closed_form(d)
+        assert d.classify_shape() is Regime.GENERAL_NUMERIC
+        return
+    z = zone_closed_form(d)
+    assert z.regime is regime and d.classify_shape() is regime
+    # c is the regime's formula on d.quantile, bit for bit.
+    q = d.quantile
+    assert z.c == {Regime.MODERATE: q(1 / 6),
+                   Regime.POLARIZED: max(2 * (q(1 / 3) - 0.25), 0.0),
+                   Regime.HYPER_POLARIZED: 2 * q(1 / 3)}[regime]
+    if name == "v-plus-1":
+        assert z.c == float.fromhex("0x1.5cc1d37c3ebf0p-5")
+
+
 def _two_humps():
     grid = np.linspace(0, 1, 101)
     return Tabulated(grid, 1.0 + 0.5 * np.cos(4 * np.pi * grid))
