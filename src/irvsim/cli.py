@@ -24,9 +24,7 @@ from pathlib import Path
 if not os.environ.get("OPENBLAS_NUM_THREADS"):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np  # noqa: E402
-
-from . import asymptotics, exactk3, experiments, zones  # noqa: E402
+from . import asymptotics, experiments, zones  # noqa: E402
 from .dist import parse_dist_spec  # noqa: E402
 from .errors import IrvsimError  # noqa: E402
 from .experiments import RunManifest, RunSpec, write_csv  # noqa: E402
@@ -118,36 +116,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rules(name: str):
-    if name == "both":
-        return (Rule.PLURALITY, Rule.IRV)
-    return (Rule(name),)
-
-
 def _emit(payload: dict):
     print(json.dumps(payload, indent=2, default=str))
 
 
 def _cmd_simulate(args) -> int:
     run = RunSpec(args.trials, args.seed, args.threads, args.out)
-    res = experiments.run_winner_histograms(args.k, rules=_rules(args.rule), dist=args.dist,
-                                            run=run)
+    rules = tuple(Rule) if args.rule == "both" else (Rule(args.rule),)
+    res = experiments.run_winner_histograms(args.k, rules=rules, dist=args.dist, run=run)
     _emit(res["summaries"])
     return EXIT_OK
 
 
 def _cmd_density(args) -> int:
     t0 = time.monotonic()
-    grid = np.linspace(0.0, 1.0, args.points)
-    values = exactk3.density_k3(Rule(args.rule))(grid)
-    if args.out is not None:
-        path = Path(args.out) / f"exact_density_{args.rule}_k3.csv"
-        write_csv(path, ["x", "density"], [grid, values],
-                  RunManifest({"rule": args.rule, "points": args.points},
-                              duration_seconds=time.monotonic() - t0))
-        print(str(path))
+    name, header, columns = experiments.density_table(Rule(args.rule), args.points)
+    if args.out is None:
+        _emit({h: c.tolist() for h, c in zip(header, columns)})
     else:
-        _emit({"x": grid.tolist(), "density": values.tolist()})
+        print(write_csv(args.out / name, header, columns,
+                        RunManifest({"rule": args.rule, "points": args.points},
+                                    duration_seconds=time.monotonic() - t0)))
     return EXIT_OK
 
 
@@ -170,7 +159,7 @@ def _cmd_gumbel(args) -> int:
     else:
         res = asymptotics.max_gap_experiment(*run)
     if args.out is not None:
-        path = Path(args.out) / f"gumbel_{args.mode}_k{args.k}.csv"
+        path = args.out / f"gumbel_{args.mode}_k{args.k}.csv"
         config = {"mode": args.mode, "k": args.k, "trials": args.trials, "seed": args.seed}
         write_csv(path, ["trial", "statistic"], [range(res.statistics.size), res.statistics],
                   RunManifest(config, duration_seconds=time.monotonic() - t0,

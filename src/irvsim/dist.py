@@ -383,6 +383,37 @@ class Tabulated(VoterDistribution):
         return f"table:sha256:{h.hexdigest()[:16]}"
 
 
+def _read_table(path: str) -> np.ndarray:
+    """The x and density rows of a CSV table. The first line with text after its
+    `#`, or with text and no `#`, names the columns in any order (np.savetxt writes
+    "# x,density"); each later line with text before its first `#` is a row."""
+    header, rows = None, []
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            if header is None:
+                head = "".join(line.split("#")[1:]) if "#" in line else line
+                header = [name.strip() for name in head.split(",")] if head.strip() else None
+            elif text := line.split("#")[0].strip():
+                rows.append((n, text))
+    if not rows:
+        raise DomainError("the table has no rows")
+    for name in ("x", "density"):
+        if name not in header:
+            raise DomainError(f"the header {','.join(header)!r} names no {name} column")
+    table = np.empty((2, len(rows)))
+    for i, (n, text) in enumerate(rows):
+        cells = text.split(",")
+        if len(cells) != len(header):
+            raise DomainError(f"line {n} has {len(cells)} fields, not {len(header)}: {text!r}")
+        for j, name in enumerate(("x", "density")):
+            cell = cells[header.index(name)].strip()
+            try:
+                table[j, i] = float(cell)
+            except ValueError:
+                raise DomainError(f"line {n}: {name} {cell!r} is not a number") from None
+    return table
+
+
 def parse_dist_spec(spec: str) -> VoterDistribution:
     """Parse a CLI distribution spec: uniform | beta:<alpha> | table:<path>."""
     if spec == "uniform":
@@ -393,12 +424,7 @@ def parse_dist_spec(spec: str) -> VoterDistribution:
     try:
         if kind == "beta":
             return SymmetricBeta(float(arg))
-        with open(arg) as fh:
-            lines = [line for line in fh if line.strip()]
-        if len(lines) < 2:  # genfromtxt would warn, then fail with an IndexError
-            raise DomainError("the table has no rows")
-        data = np.genfromtxt(lines, delimiter=",", names=True)
-        return Tabulated(data["x"], data["density"])
+        return Tabulated(*_read_table(arg))
     # Unreadable file, no rows, bad number, missing column.
     except (OSError, ValueError) as exc:
         raise DomainError(f"bad distribution spec {spec!r}: {exc}") from exc

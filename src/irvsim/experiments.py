@@ -33,6 +33,7 @@ __all__ = [
     "RunManifest",
     "chunk_rng",
     "write_csv",
+    "density_table",
     "run_winner_histograms",
     "run_beta_sweep",
     "run_scatter",
@@ -55,18 +56,14 @@ class RunSpec:
         object.__setattr__(self, "threads", check_int("threads", self.threads, 1))
 
 
-def _library_versions() -> dict:
-    """The numpy version; the random streams come from it."""
-    return {"numpy": np.__version__}
-
-
 @dataclass
 class RunManifest:
     """A run's provenance; the fields are in the order of the JSON keys."""
 
     config: dict
     version: str = __version__
-    libraries: dict = field(default_factory=_library_versions)
+    # The numpy version: the random streams come from it.
+    libraries: dict = field(default_factory=lambda: {"numpy": np.__version__})
     duration_seconds: float = 0.0  # computation only, not serialization
     summaries: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
@@ -74,10 +71,13 @@ class RunManifest:
     def to_json(self) -> dict:
         return asdict(self)
 
-    def write(self, data_path: Path) -> Path:
-        """Atomically write this manifest next to `data_path`."""
+    def write(self, data_path: Path, outputs: _Outputs | None = None) -> Path:
+        """Stage this manifest beside `data_path` in `outputs`; without them, publish it alone."""
         path = data_path.with_name(data_path.stem + ".manifest.json")
-        _atomic_write(path, [(json.dumps(self.to_json(), indent=2) + "\n").encode()])
+        with _Outputs(path.parent) as alone:
+            (alone if outputs is None else outputs).put(
+                path.name, (json.dumps(self.to_json(), indent=2) + "\n").encode())
+            alone.commit()
         return path
 
     @staticmethod
@@ -85,25 +85,6 @@ class RunManifest:
         data = json.loads(Path(path).read_text())
         # "libraries" is absent from manifests written before versions were recorded.
         return RunManifest(**{"libraries": {}, **data})
-
-
-def _create(path: Path):
-    """Open `path` for writing, first creating its directory and any missing parents."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "wb")
-
-
-def _atomic_write(path: Path, pieces):
-    """Write the bytes `pieces` to a temp file and rename it over `path`; on failure remove it."""
-    tmp = path.with_name(path.name + ".tmp")
-    fh = _create(tmp)
-    try:
-        with fh:
-            fh.writelines(pieces)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # Rows per formatted block: few enough that the block's array temporaries stay in
@@ -237,17 +218,18 @@ def _csv_blocks(columns):
         yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-class _CsvFiles:
-    """A run's CSV files, each streamed to <name>.tmp as its rows become final,
-    so a driver holds one output's columns at a time.
+class _Outputs:
+    """The package's one writer: a run's files are staged as <name>.tmp and
+    published together.
 
-    `commit(manifest)` renames every tmp file over its name and writes its
-    manifest after it. Leaving the `with` block without a commit, as a
-    raising run does, removes the tmp files, so a failed run leaves no CSV.
-    The directory is created when the first file is opened, so a run
-    rejected before it writes leaves none. With no directory, `append`
-    writes nothing. `seconds` is the time spent writing, which
-    duration_seconds leaves out.
+    `append` streams a CSV's rows as they become final, so a driver holds one
+    output's columns at a time, and `put` stages bytes. `commit(manifest)`
+    stages each staged file's manifest, then renames every tmp file over its
+    name, and refuses before the first rename if a directory holds one of the
+    names. Leaving the `with` block without a commit, as a raising run does,
+    removes the tmp files, so a failed run leaves none of its files. The
+    directory is created with the first file; with none, nothing is written.
+    `seconds` is the time spent writing rows, which duration_seconds leaves out.
     """
 
     def __init__(self, out_dir):
@@ -267,6 +249,15 @@ class _CsvFiles:
     def _tmp(self, name: str) -> Path:
         return self.out_dir / (name + ".tmp")
 
+    def put(self, name: str, data: bytes) -> None:
+        """Write the bytes `data` to staged file `name`, staging it if it is new."""
+        if self.out_dir is None:
+            return
+        if name not in self._open:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            self._open[name] = open(self._tmp(name), "wb")
+        self._open[name].write(data)
+
     def append(self, name: str, header, columns) -> None:
         """Append equal-length columns, formatted as write_csv says, as rows of
         `name`, writing `header` first."""
@@ -279,39 +270,42 @@ class _CsvFiles:
             len(header) == len(columns) and len(set(lengths)) == 1,
             f"{name}: {len(header)} names for columns of lengths {lengths}",
         )
-        fh = self._open.get(name)
-        if fh is None:
-            fh = self._open[name] = _create(self._tmp(name))
-            fh.write((",".join(header) + "\n").encode())
-        fh.writelines(_csv_blocks(columns))
+        if name not in self._open:
+            self.put(name, (",".join(header) + "\n").encode())
+        self._open[name].writelines(_csv_blocks(columns))
         self.seconds += time.monotonic() - t0
 
-    def commit(self, manifest: RunManifest) -> None:
-        """Rename each tmp file over its name, then write its manifest, in append order."""
+    def commit(self, manifest: RunManifest | None = None) -> None:
+        """Stage `manifest` beside each staged file, then publish them all, the
+        manifests last; IsADirectoryError, before any is published, if a
+        directory holds one of their names."""
+        if manifest is not None:
+            for name in list(self._open):
+                manifest.write(self.out_dir / name, self)
         for name, fh in self._open.items():
             fh.close()
+            if (self.out_dir / name).is_dir():
+                raise IsADirectoryError(f"{self.out_dir / name} is a directory")
+        for name in self._open:
             os.replace(self._tmp(name), self.out_dir / name)
-            manifest.write(self.out_dir / name)
         self._open.clear()
 
 
 def write_csv(path: Path, header, columns, manifest: RunManifest) -> Path:
-    """Write equal-length columns as one CSV, atomically, then its manifest.
+    """Publish equal-length columns as one CSV with its manifest; returns the CSV path.
 
     Float columns (dtype kind "f") get 17 significant digits, bool columns
     0/1 and every other column format(); a range column is formatted a block
-    at a time, never built whole. Each block of rows is formatted into one
-    NUL-padded byte matrix, a field per column. This is the drivers'
-    streaming writer used once. Returns the CSV path.
+    at a time, never built whole. This is the drivers' writer used once.
     """
     path = Path(path)
-    with _CsvFiles(path.parent) as files:
+    with _Outputs(path.parent) as files:
         files.append(path.name, header, columns)
         files.commit(manifest)
     return path
 
 
-def _finish(run: RunSpec, t0: float, config: dict, summaries: dict, files: _CsvFiles,
+def _finish(run: RunSpec, t0: float, config: dict, summaries: dict, files: _Outputs,
             notes=()) -> dict:
     """Build the run's manifest and commit the run's streamed `files` with it.
 
@@ -369,6 +363,14 @@ def _elections(run: RunSpec, experiment_id: str, d, k: int, rules, zone=None):
     return results, violations
 
 
+def density_table(rule: Rule, points: int = 1001):
+    """The exact k = 3 winner density of `rule` at `points` evenly spaced x in
+    [0, 1], as the file name, header and columns of its CSV."""
+    grid = np.linspace(0.0, 1.0, points)
+    return (f"exact_density_{rule.value}_k3.csv", ["x", "density"],
+            [grid, exactk3.density_k3(rule)(grid)])
+
+
 def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
     """Winner positions per (rule, k) for voters drawn from the `dist` spec.
 
@@ -380,7 +382,7 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
     t0 = time.monotonic()
     summaries = {}
     uniform = isinstance(d, Uniform)
-    with _CsvFiles(run.out_dir) as files:
+    with _Outputs(run.out_dir) as files:
         for rule in rules:
             for k in ks:
                 exp_id = f"winners/{rule.value}/k={k}/{d.spec()}"
@@ -397,11 +399,9 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
                 files.append(f"winners_{rule.value}_k{k}.csv", ["trial", "winner_position", "tie"],
                              [range(run.trials), winners, ties])
                 if k == 3 and uniform:
-                    dens = exactk3.density_k3(rule)
-                    entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, dens.antiderivative())
-                    grid = np.linspace(0.0, 1.0, 1001)
-                    files.append(f"exact_density_{rule.value}_k3.csv", ["x", "density"],
-                                 [grid, dens(grid)])
+                    exact = exactk3.density_k3(rule).antiderivative()
+                    entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, exact)
+                    files.append(*density_table(rule))
         config = {"rules": [r.value for r in rules], "dist": dist, "ks": list(ks)}
         return _finish(run, t0, config, summaries, files)
 
@@ -420,7 +420,7 @@ def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
     rules = tuple(Rule)
     summaries = {}
     no_viol = np.broadcast_to(False, run.trials)
-    with _CsvFiles(run.out_dir) as files:
+    with _Outputs(run.out_dir) as files:
         for alpha, d in zip(alphas, voters):
             zone = zones.zone_closed_form(d)
             exp_id = f"betasweep/alpha={alpha:g}/k={k}"
@@ -455,7 +455,7 @@ def run_scatter(ks, *, dist: str, run: RunSpec) -> dict:
     d = parse_dist_spec(dist)
     t0 = time.monotonic()
     summaries = {}
-    with _CsvFiles(run.out_dir) as files:
+    with _Outputs(run.out_dir) as files:
         for k in ks:
             results, _ = _elections(run, f"scatter/k={k}/{d.spec()}", d, k, tuple(Rule))
             (wp, tie_p), (wr, tie_r) = results[Rule.PLURALITY], results[Rule.IRV]
@@ -486,12 +486,14 @@ def run_scatter(ks, *, dist: str, run: RunSpec) -> dict:
 
 
 def _check(name, claim, seed, fn):
-    """Run one check; any exception it raises records it as failed."""
+    """Run one check and time it; any exception it raises records it as failed."""
+    t0 = time.monotonic()
     try:
         detail, passed = fn(), True
     except Exception as exc:  # a crashing check is a failed check, not a crash
         detail, passed = f"{type(exc).__name__}: {exc}", False
-    return {"name": name, "claim": claim, "seed": seed, "passed": passed, "detail": detail}
+    return {"name": name, "claim": claim, "seed": seed, "passed": passed, "detail": detail,
+            "seconds": time.monotonic() - t0}
 
 
 def _verify_exact_identities():
@@ -576,59 +578,38 @@ def run_verify(seed: int, out_dir: Path | None = None) -> dict:
     """
     check_seed(seed)
     t0 = time.monotonic()
-    checks = [
-        _check(
-            "exact-k3-identities",
-            "k=3 winner densities integrate to 1, are continuous, have variances "
-            "23/540 (plurality) and 25/864 (IRV), and match 3x the per-order-"
-            "statistic win probabilities",
-            None,
-            _verify_exact_identities,
-        ),
-        _check(
-            "uniform-zone-sweep",
-            "uniform voters, k=6: whenever a candidate lies in [1/6, 5/6] the "
-            "IRV winner lies in [1/6, 5/6]",
-            seed,
-            lambda: _verify_zone_sweep(seed, Uniform(), "verify/zone-sweep", 20_000),
-        ),
-        _check(
-            "hyper-polarized-zone-sweep",
-            "Beta(0.3, 0.3) voters, k=6: whenever both [0, c] and [1-c, 1] hold a "
-            "candidate (c = 2F^-1(1/3)) the IRV winner lies in one of them",
-            seed,
-            lambda: _verify_zone_sweep(seed, SymmetricBeta(0.3),
-                                       "verify/hyper-polarized-zone-sweep", 5_000),
-        ),
-        _check(
-            "closed-form-zones",
-            "closed-form zone boundaries satisfy the vote-share condition "
-            "(uniform c=1/6; Beta(2,2))",
-            None,
-            _verify_closed_form_zones,
-        ),
-        _check(
-            "discrete-oracle",
-            "continuous IRV matches discrete IRV on the exact voter mass of "
-            "each ranking for all of 30 random profiles",
-            seed,
-            lambda: _verify_oracle_equivalence(seed),
-        ),
-        _check(
-            "gumbel-limits",
-            "max-gap and winning-share statistics are close to the Gumbel law "
-            "at desk scale",
-            seed,
-            lambda: _verify_gumbel(seed),
-        ),
-        _check(
-            "small-k-counterexample",
-            "five-candidate profile where IRV elects a strictly more extreme "
-            "winner than plurality",
-            None,
-            _verify_small_k,
-        ),
-    ]
+    checks = [_check(*check) for check in (
+        ("exact-k3-identities",
+         "k=3 winner densities integrate to 1, are continuous, have variances "
+         "23/540 (plurality) and 25/864 (IRV), and match 3x the per-order-"
+         "statistic win probabilities",
+         None, _verify_exact_identities),
+        ("uniform-zone-sweep",
+         "uniform voters, k=6: whenever a candidate lies in [1/6, 5/6] the "
+         "IRV winner lies in [1/6, 5/6]",
+         seed, lambda: _verify_zone_sweep(seed, Uniform(), "verify/zone-sweep", 20_000)),
+        ("hyper-polarized-zone-sweep",
+         "Beta(0.3, 0.3) voters, k=6: whenever both [0, c] and [1-c, 1] hold a "
+         "candidate (c = 2F^-1(1/3)) the IRV winner lies in one of them",
+         seed, lambda: _verify_zone_sweep(seed, SymmetricBeta(0.3),
+                                          "verify/hyper-polarized-zone-sweep", 5_000)),
+        ("closed-form-zones",
+         "closed-form zone boundaries satisfy the vote-share condition "
+         "(uniform c=1/6; Beta(2,2))",
+         None, _verify_closed_form_zones),
+        ("discrete-oracle",
+         "continuous IRV matches discrete IRV on the exact voter mass of "
+         "each ranking for all of 30 random profiles",
+         seed, lambda: _verify_oracle_equivalence(seed)),
+        ("gumbel-limits",
+         "max-gap and winning-share statistics are close to the Gumbel law "
+         "at desk scale",
+         seed, lambda: _verify_gumbel(seed)),
+        ("small-k-counterexample",
+         "five-candidate profile where IRV elects a strictly more extreme "
+         "winner than plurality",
+         None, _verify_small_k),
+    )]
     passed = all(c["passed"] for c in checks)
     report = {
         "passed": passed,
@@ -636,9 +617,8 @@ def run_verify(seed: int, out_dir: Path | None = None) -> dict:
         "master_seed": seed,
         "duration_seconds": time.monotonic() - t0,
     }
-    if out_dir is not None:
-        path = Path(out_dir) / "verify_report.json"
-        _atomic_write(path, [(json.dumps(report, indent=2) + "\n").encode()])
-        RunManifest({"seed": seed}, duration_seconds=report["duration_seconds"],
-                    summaries={"passed": passed}).write(path)
+    with _Outputs(out_dir) as files:
+        files.put("verify_report.json", (json.dumps(report, indent=2) + "\n").encode())
+        files.commit(RunManifest({"seed": seed}, duration_seconds=report["duration_seconds"],
+                                 summaries={"passed": passed}))
     return report

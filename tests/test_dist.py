@@ -350,6 +350,33 @@ def test_parse_dist_spec(tmp_path):
         parse_dist_spec("beta:inf")
 
 
+def test_table_layouts_parse_to_the_same_table(tmp_path):
+    layouts = {
+        "plain.csv": "x,density\n0,1\n0.5,2\n1,1\n",
+        "swapped.csv": "density,x\n1,0\n2,0.5\n1,1\n",
+        "commented.csv": "\n# x,density\n0,1 # left end\n# a comment line\n\n0.5,2\n1,1\n",
+        "extra-column.csv": " x , density ,note\n0,1,a\n0.5,2,b\n1,1,c\n",
+    }
+    specs = set()
+    for name, text in layouts.items():
+        (tmp_path / name).write_text(text)
+        specs.add(parse_dist_spec(f"table:{tmp_path / name}").spec())
+    assert len(specs) == 1
+
+
+@pytest.mark.parametrize("rows, quoted", [
+    (["0,oops", "1,1"], "line 2: density 'oops' is not a number"),
+    (["np.float64(0.0),1", "1,1"], "line 2: x 'np.float64(0.0)' is not a number"),
+    (["0,1", "0.5,1,2", "1,1"], "line 3 has 3 fields, not 2: '0.5,1,2'"),
+], ids=["density-cell", "x-cell", "three-fields"])
+def test_bad_table_error_quotes_the_text(rows, quoted, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["x,density", *rows]) + "\n")
+    with pytest.raises(DomainError) as info:
+        parse_dist_spec(f"table:{path}")
+    assert quoted in str(info.value) and "\n" not in str(info.value)
+
+
 def test_sampling_matches_cdf():
     d = SymmetricBeta(2.0)
     rng = np.random.default_rng(0)

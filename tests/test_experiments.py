@@ -254,6 +254,36 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
+def _listing(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_simulate_that_cannot_publish_leaves_nothing(tmp_path, capsys):
+    # A directory holds the IRV CSV's name, so the commit refuses before its
+    # first rename: the plurality files and every manifest stay unpublished.
+    (tmp_path / "winners_irv_k3.csv").mkdir()
+    before = _listing(tmp_path)
+    assert cli.main(["simulate", "--k", "3", "--trials", "100", "--out", str(tmp_path)]) == 1
+    assert "winners_irv_k3.csv" in capsys.readouterr().err
+    assert _listing(tmp_path) == before
+
+
+def test_verify_that_cannot_publish_its_manifest_leaves_no_report(tmp_path, capsys):
+    (tmp_path / "verify_report.manifest.json").mkdir()
+    before = _listing(tmp_path)
+    assert cli.main(["verify", "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert "verify_report.manifest.json" in capsys.readouterr().err
+    assert _listing(tmp_path) == before
+
+
+def test_write_csv_that_cannot_publish_its_manifest_leaves_no_csv(tmp_path):
+    (tmp_path / "out.manifest.json").mkdir()
+    before = _listing(tmp_path)
+    with pytest.raises(IsADirectoryError, match="out.manifest.json"):
+        write_csv(tmp_path / "out.csv", ["v"], [np.arange(3)], RunManifest({}))
+    assert _listing(tmp_path) == before
+
+
 def test_winner_histograms_smoke(tmp_path):
     res = run_winner_histograms([3], rules=tuple(Rule), dist="uniform",
                                 run=RunSpec(500, 9, out_dir=tmp_path))
@@ -479,6 +509,8 @@ def test_verify_suite_passes(tmp_path):
     manifest = RunManifest.read(tmp_path / "verify_report.manifest.json")
     assert manifest.config == {"seed": 0}
     assert manifest.duration_seconds == saved["duration_seconds"] > 0
+    # Each check is timed, within the suite's duration.
+    assert 0 < sum(c["seconds"] for c in saved["checks"]) <= saved["duration_seconds"]
 
 
 def test_verify_detects_injected_fault(monkeypatch):
@@ -805,6 +837,15 @@ def test_cli_density(tmp_path):
     assert lines[0] == "x,density"
     assert len(lines) == 1002
     assert RunManifest.read(tmp_path / "exact_density_irv_k3.manifest.json").duration_seconds > 0
+
+
+def test_simulate_and_density_write_the_same_exact_table(tmp_path, capsys):
+    for argv in (["simulate", "--rule", "irv", "--k", "3", "--trials", "10"],
+                 ["density", "--rule", "irv"]):
+        assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+    simulated, exact = (tmp_path / command / "exact_density_irv_k3.csv"
+                        for command in ("simulate", "density"))
+    assert simulated.read_bytes() == exact.read_bytes()
 
 
 def test_cli_every_csv_has_a_manifest(tmp_path, capsys):
