@@ -26,6 +26,7 @@ __all__ = [
     "gumbel_cdf",
     "spacings",
     "GumbelExperimentResult",
+    "CircleCouplingResult",
     "winning_share_experiment",
     "max_gap_experiment",
     "circle_coupling_experiment",
@@ -173,8 +174,20 @@ def max_gap_experiment(n: int, trials: int, seed: int,
     return GumbelExperimentResult(n, trials, stats, ks_statistic(stats, gumbel_cdf))
 
 
-def circle_coupling_experiment(k: int, trials: int, seed: int, threads: int = 1) -> float:
-    """Fraction of trials where the circle and cut-interval winners differ.
+@dataclass(frozen=True)
+class CircleCouplingResult:
+    k: int
+    trials: int
+    statistics: np.ndarray  # per-trial flag: the circle and interval winners differ
+
+    def summary(self) -> dict:
+        return {"k": self.k, "trials": self.trials,
+                "disagreement_rate": np.count_nonzero(self.statistics) / self.trials}
+
+
+def circle_coupling_experiment(k: int, trials: int, seed: int,
+                               threads: int = 1) -> CircleCouplingResult:
+    """Per trial, whether the circle and cut-interval winners differ.
 
     Cutting the circle at 0 reassigns only the wrap-around arc, so the two
     share vectors differ solely at the extreme candidates; the rate decreases
@@ -196,5 +209,5 @@ def circle_coupling_experiment(k: int, trials: int, seed: int, threads: int = 1)
                 "circle and interval shares differ away from the cut")
         return circle.argmax(axis=1) != interval.argmax(axis=1)
 
-    rows = _spacing_statistics(k + 1, trials, seed, f"circle/k={k}", threads, differs)
-    return np.count_nonzero(rows) / trials
+    flags = _spacing_statistics(k + 1, trials, seed, f"circle/k={k}", threads, differs)
+    return CircleCouplingResult(k, trials, flags.astype(bool))  # the kernel fills floats

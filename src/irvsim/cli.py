@@ -12,7 +12,6 @@ import json
 import os
 import stat
 import sys
-import time
 from pathlib import Path
 
 # When numpy loads, its bundled OpenBLAS starts a pool of worker threads that
@@ -24,10 +23,11 @@ from pathlib import Path
 if not os.environ.get("OPENBLAS_NUM_THREADS"):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import asymptotics, experiments, zones  # noqa: E402
+from . import experiments, zones  # noqa: E402
 from .dist import parse_dist_spec  # noqa: E402
 from .errors import IrvsimError  # noqa: E402
-from .experiments import RunManifest, RunSpec, write_csv  # noqa: E402
+# write_csv is unused here; the benchmark's tracer needs this binding while it wraps write_csv.
+from .experiments import RunSpec, write_csv  # noqa: E402, F401
 from .tabulate import Rule  # noqa: E402
 
 EXIT_OK = 0
@@ -64,137 +64,101 @@ _COMMON = {
 }
 
 
-def _add_common(p, *flags):
-    """Register the common `flags` that subcommand `p` reads, and no others."""
+def _subcommand(sub, name: str, handler, help: str, *flags):
+    """Add subcommand `name`, run by `handler`, with the common `flags` it reads and no others."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
     for flag in flags:
         p.add_argument(flag, **_COMMON[flag])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="irvsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("simulate", help="winner-position histograms per rule and k")
-    _add_common(p, "--seed", "--threads", "--out")
+    p = _subcommand(sub, "simulate", _cmd_simulate, "winner-position histograms per rule and k",
+                    "--seed", "--threads", "--out")
     p.add_argument("--rule", choices=("plurality", "irv", "both"), default="both")
     p.add_argument("--k", type=int, nargs="+", default=[3])
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--dist", default="uniform")
 
-    p = sub.add_parser("density", help="exact k=3 winner densities on a grid")
-    _add_common(p, "--out")
+    p = _subcommand(sub, "density", _cmd_density, "exact k=3 winner densities on a grid", "--out")
     p.add_argument("--rule", choices=("plurality", "irv"), default="irv")
     p.add_argument("--points", type=_int_at_least(2), default=1001)
 
-    p = sub.add_parser("zone", help="exclusion zone for a voter distribution")
+    p = _subcommand(sub, "zone", _cmd_zone, "exclusion zone for a voter distribution")
     p.add_argument("--dist", default="uniform")
     p.add_argument(
         "--numeric", action="store_true", help="numeric search instead of closed form"
     )
 
-    p = sub.add_parser("gumbel", help="asymptotic-law experiments")
-    _add_common(p, "--seed", "--threads", "--out")
+    p = _subcommand(sub, "gumbel", _cmd_gumbel, "asymptotic-law experiments",
+                    "--seed", "--threads", "--out")
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--mode", choices=("share", "maxgap", "circle"), default="share")
 
-    p = sub.add_parser("scatter", help="plurality vs IRV winners on shared draws")
-    _add_common(p, "--seed", "--threads", "--out")
+    p = _subcommand(sub, "scatter", _cmd_scatter, "plurality vs IRV winners on shared draws",
+                    "--seed", "--threads", "--out")
     p.add_argument("--k", type=int, nargs="+", default=[3])
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--dist", default="uniform")
 
-    p = sub.add_parser("betasweep", help="Beta(alpha, alpha) sweep with zone bounds")
-    _add_common(p, "--seed", "--threads", "--out")
+    p = _subcommand(sub, "betasweep", _cmd_betasweep, "Beta(alpha, alpha) sweep with zone bounds",
+                    "--seed", "--threads", "--out")
     p.add_argument("--alpha", type=float, nargs="+", required=True)
     p.add_argument("--k", type=int, default=30)
     p.add_argument("--trials", type=int, default=100_000)
 
-    p = sub.add_parser("verify", help="run the full verification suite")
-    _add_common(p, "--seed", "--out")
+    _subcommand(sub, "verify", _cmd_verify, "run the full verification suite", "--seed", "--out")
 
     return parser
 
 
-def _emit(payload: dict):
-    print(json.dumps(payload, indent=2, default=str))
+def _emit(payload, code: int = EXIT_OK) -> int:
+    """Print a result, a path as text and the rest as JSON; returns the exit `code`."""
+    print(payload if isinstance(payload, Path) else json.dumps(payload, indent=2, default=str))
+    return code
 
 
 def _cmd_simulate(args) -> int:
     run = RunSpec(args.trials, args.seed, args.threads, args.out)
     rules = tuple(Rule) if args.rule == "both" else (Rule(args.rule),)
     res = experiments.run_winner_histograms(args.k, rules=rules, dist=args.dist, run=run)
-    _emit(res["summaries"])
-    return EXIT_OK
+    return _emit(res["summaries"])
 
 
 def _cmd_density(args) -> int:
-    t0 = time.monotonic()
-    name, header, columns = experiments.density_table(Rule(args.rule), args.points)
-    if args.out is None:
-        _emit({h: c.tolist() for h, c in zip(header, columns)})
-    else:
-        print(write_csv(args.out / name, header, columns,
-                        RunManifest({"rule": args.rule, "points": args.points},
-                                    duration_seconds=time.monotonic() - t0)))
-    return EXIT_OK
+    res = experiments.run_density(Rule(args.rule), args.points, args.out)
+    return _emit(res["table"] if args.out is None else res["path"])
 
 
 def _cmd_zone(args) -> int:
     d = parse_dist_spec(args.dist)
     zone = zones.min_zone_numeric(d) if args.numeric else zones.zone_closed_form(d)
-    _emit(zone.to_json())
-    return EXIT_OK
+    return _emit(zone.to_json())
 
 
 def _cmd_gumbel(args) -> int:
-    t0 = time.monotonic()
-    run = (args.k, args.trials, args.seed, args.threads)
-    if args.mode == "circle":
-        rate = asymptotics.circle_coupling_experiment(*run)
-        _emit({"k": args.k, "trials": args.trials, "disagreement_rate": rate})
-        return EXIT_OK
-    if args.mode == "share":
-        res = asymptotics.winning_share_experiment(*run)
-    else:
-        res = asymptotics.max_gap_experiment(*run)
-    if args.out is not None:
-        path = args.out / f"gumbel_{args.mode}_k{args.k}.csv"
-        config = {"mode": args.mode, "k": args.k, "trials": args.trials, "seed": args.seed}
-        write_csv(path, ["trial", "statistic"], [range(res.statistics.size), res.statistics],
-                  RunManifest(config, duration_seconds=time.monotonic() - t0,
-                              summaries=res.summary()))
-    _emit(res.summary())
-    return EXIT_OK
+    run = RunSpec(args.trials, args.seed, args.threads, args.out)
+    return _emit(experiments.run_gumbel(args.mode, args.k, run=run)["summaries"])
 
 
 def _cmd_scatter(args) -> int:
     run = RunSpec(args.trials, args.seed, args.threads, args.out)
-    _emit(experiments.run_scatter(args.k, dist=args.dist, run=run)["summaries"])
-    return EXIT_OK
+    return _emit(experiments.run_scatter(args.k, dist=args.dist, run=run)["summaries"])
 
 
 def _cmd_betasweep(args) -> int:
     run = RunSpec(args.trials, args.seed, args.threads, args.out)
-    _emit(experiments.run_beta_sweep(args.alpha, args.k, run=run)["summaries"])
-    return EXIT_OK
+    return _emit(experiments.run_beta_sweep(args.alpha, args.k, run=run)["summaries"])
 
 
 def _cmd_verify(args) -> int:
     report = experiments.run_verify(args.seed, args.out)
-    _emit(report)
-    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "density": _cmd_density,
-    "zone": _cmd_zone,
-    "gumbel": _cmd_gumbel,
-    "scatter": _cmd_scatter,
-    "betasweep": _cmd_betasweep,
-    "verify": _cmd_verify,
-}
+    return _emit(report, EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL)
 
 
 def _check_out(out: Path) -> None:
@@ -214,17 +178,14 @@ def _check_out(out: Path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "gumbel" and args.mode == "circle" and args.out is not None:
-            parser.error("argument --out: gumbel --mode circle writes no file")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (IrvsimError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"irvsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -384,14 +384,16 @@ class Tabulated(VoterDistribution):
 
 
 def _read_table(path: str) -> np.ndarray:
-    """The x and density rows of a CSV table. The first line with text after its
-    `#`, or with text and no `#`, names the columns in any order (np.savetxt writes
-    "# x,density"); each later line with text before its first `#` is a row."""
+    """The x and density rows of a CSV table. The first line with text names the
+    columns in any order: the text after a leading `#` (np.savetxt writes
+    "# x,density"), else the text before its first `#`. Each later line with
+    text before its first `#` is a row."""
     header, rows = None, []
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             if header is None:
-                head = "".join(line.split("#")[1:]) if "#" in line else line
+                before, _, after = line.partition("#")
+                head = before if before.strip() else after.replace("#", "")
                 header = [name.strip() for name in head.split(",")] if head.strip() else None
             elif text := line.split("#")[0].strip():
                 rows.append((n, text))

@@ -37,6 +37,8 @@ __all__ = [
     "run_winner_histograms",
     "run_beta_sweep",
     "run_scatter",
+    "run_gumbel",
+    "run_density",
     "run_verify",
 ]
 
@@ -55,6 +57,10 @@ class RunSpec:
         object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "threads", check_int("threads", self.threads, 1))
 
+    def config(self, config: dict) -> dict:
+        """A seeded driver's manifest `config`, then this run's trials, master seed and threads."""
+        return {**config, "trials": self.trials, "master_seed": self.seed, "threads": self.threads}
+
 
 @dataclass
 class RunManifest:
@@ -71,14 +77,10 @@ class RunManifest:
     def to_json(self) -> dict:
         return asdict(self)
 
-    def write(self, data_path: Path, outputs: _Outputs | None = None) -> Path:
-        """Stage this manifest beside `data_path` in `outputs`; without them, publish it alone."""
-        path = data_path.with_name(data_path.stem + ".manifest.json")
-        with _Outputs(path.parent) as alone:
-            (alone if outputs is None else outputs).put(
-                path.name, (json.dumps(self.to_json(), indent=2) + "\n").encode())
-            alone.commit()
-        return path
+    def write(self, data_path: Path, outputs: _Outputs) -> None:
+        """Stage this manifest beside `data_path` in `outputs`."""
+        outputs.put(data_path.stem + ".manifest.json",
+                    (json.dumps(self.to_json(), indent=2) + "\n").encode())
 
     @staticmethod
     def read(path: Path) -> "RunManifest":
@@ -229,11 +231,12 @@ class _Outputs:
     names. Leaving the `with` block without a commit, as a raising run does,
     removes the tmp files, so a failed run leaves none of its files. The
     directory is created with the first file; with none, nothing is written.
-    `seconds` is the time spent writing rows, which duration_seconds leaves out.
+    `elapsed()`, the time since it was made less the time writing rows, is a run's duration.
     """
 
     def __init__(self, out_dir):
         self.out_dir = None if out_dir is None else Path(out_dir)
+        self.t0 = time.monotonic()
         self.seconds = 0.0
         self._open = {}  # name -> file object of <name>.tmp
 
@@ -275,13 +278,15 @@ class _Outputs:
         self._open[name].writelines(_csv_blocks(columns))
         self.seconds += time.monotonic() - t0
 
-    def commit(self, manifest: RunManifest | None = None) -> None:
+    def elapsed(self) -> float:
+        return time.monotonic() - self.t0 - self.seconds
+
+    def commit(self, manifest: RunManifest) -> None:
         """Stage `manifest` beside each staged file, then publish them all, the
         manifests last; IsADirectoryError, before any is published, if a
         directory holds one of their names."""
-        if manifest is not None:
-            for name in list(self._open):
-                manifest.write(self.out_dir / name, self)
+        for name in list(self._open):
+            manifest.write(self.out_dir / name, self)
         for name, fh in self._open.items():
             fh.close()
             if (self.out_dir / name).is_dir():
@@ -294,9 +299,8 @@ class _Outputs:
 def write_csv(path: Path, header, columns, manifest: RunManifest) -> Path:
     """Publish equal-length columns as one CSV with its manifest; returns the CSV path.
 
-    Float columns (dtype kind "f") get 17 significant digits, bool columns
-    0/1 and every other column format(); a range column is formatted a block
-    at a time, never built whole. This is the drivers' writer used once.
+    Float columns (dtype kind "f") get 17 significant digits, bool columns 0/1 and every
+    other column format(); a range column is formatted a block at a time, never built whole.
     """
     path = Path(path)
     with _Outputs(path.parent) as files:
@@ -305,16 +309,10 @@ def write_csv(path: Path, header, columns, manifest: RunManifest) -> Path:
     return path
 
 
-def _finish(run: RunSpec, t0: float, config: dict, summaries: dict, files: _Outputs,
-            notes=()) -> dict:
-    """Build the run's manifest and commit the run's streamed `files` with it.
-
-    The manifest's config is the driver's own `config` followed by the trial
-    count, seed and threads; its duration leaves out the time spent writing.
-    """
-    config = {**config, "trials": run.trials, "master_seed": run.seed, "threads": run.threads}
-    manifest = RunManifest(config, duration_seconds=time.monotonic() - t0 - files.seconds,
-                           summaries=summaries, notes=list(notes))
+def _finish(files: _Outputs, duration: float, config: dict, summaries: dict, notes=()) -> dict:
+    """Build the run's manifest, the only place one is made, and commit `files` with it."""
+    manifest = RunManifest(config, duration_seconds=duration, summaries=summaries,
+                           notes=list(notes))
     files.commit(manifest)
     return {"summaries": summaries, "manifest": manifest}
 
@@ -379,7 +377,6 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
     _check_ks(ks)
     _require_distinct("rule", rules, lambda rule: rule.value)
     d = parse_dist_spec(dist)
-    t0 = time.monotonic()
     summaries = {}
     uniform = isinstance(d, Uniform)
     with _Outputs(run.out_dir) as files:
@@ -403,7 +400,7 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
                     entry["ks_vs_exact"] = asymptotics.ks_statistic(winners, exact)
                     files.append(*density_table(rule))
         config = {"rules": [r.value for r in rules], "dist": dist, "ks": list(ks)}
-        return _finish(run, t0, config, summaries, files)
+        return _finish(files, files.elapsed(), run.config(config), summaries)
 
 
 def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
@@ -416,7 +413,6 @@ def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
     _require_distinct("alpha", alphas, "alpha={:g}".format)
     _check_ks([k])
     voters = [SymmetricBeta(alpha) for alpha in alphas]  # a bad alpha fails before any run
-    t0 = time.monotonic()
     rules = tuple(Rule)
     summaries = {}
     no_viol = np.broadcast_to(False, run.trials)
@@ -446,14 +442,13 @@ def run_beta_sweep(alphas, k: int, *, run: RunSpec) -> dict:
         notes = ["figure-reproduction default is k=30; a k=20 variant appears in some "
                  "descriptions of the same sweep"]
         config = {"rules": [r.value for r in rules], "ks": [k], "alphas": list(alphas)}
-        return _finish(run, t0, config, summaries, files, notes)
+        return _finish(files, files.elapsed(), run.config(config), summaries, notes)
 
 
 def run_scatter(ks, *, dist: str, run: RunSpec) -> dict:
     """Per trial, tabulate the same candidate draw under both rules."""
     _check_ks(ks)
     d = parse_dist_spec(dist)
-    t0 = time.monotonic()
     summaries = {}
     with _Outputs(run.out_dir) as files:
         for k in ks:
@@ -477,7 +472,34 @@ def run_scatter(ks, *, dist: str, run: RunSpec) -> dict:
                          ["plurality_position", "irv_position", "irv_more_moderate", "tie"],
                          [wp, wr, more_moderate, tie])
         config = {"rules": [r.value for r in Rule], "dist": dist, "ks": list(ks)}
-        return _finish(run, t0, config, summaries, files)
+        return _finish(files, files.elapsed(), run.config(config), summaries)
+
+
+def run_gumbel(mode: str, k: int, *, run: RunSpec) -> dict:
+    """Stick-breaking experiment `mode` at k, each trial's statistic in gumbel_{mode}_k{k}.csv."""
+    try:  # looked up at each call: the benchmark's tracer rebinds asymptotics' functions
+        experiment, column = {"share": (asymptotics.winning_share_experiment, "statistic"),
+                              "maxgap": (asymptotics.max_gap_experiment, "statistic"),
+                              "circle": (asymptotics.circle_coupling_experiment, "differs")}[mode]
+    except KeyError:
+        raise DomainError(f"unknown gumbel mode {mode!r}") from None
+    with _Outputs(run.out_dir) as files:
+        res = experiment(k, run.trials, run.seed, run.threads)
+        files.append(f"gumbel_{mode}_k{k}.csv", ["trial", column],
+                     [range(run.trials), res.statistics])
+        return _finish(files, files.elapsed(), run.config({"mode": mode, "k": k}), res.summary())
+
+
+def run_density(rule: Rule, points: int = 1001, out_dir: Path | None = None) -> dict:
+    """The exact k = 3 winner density of `rule` at `points` grid points, written as
+    density_table names it; the result adds its columns ("table") and CSV path ("path")."""
+    check_int("points", points, 2)
+    with _Outputs(out_dir) as files:
+        name, header, columns = density_table(rule, points)
+        files.append(name, header, columns)
+        res = _finish(files, files.elapsed(), {"rule": rule.value, "points": points}, {})
+    return {**res, "table": {h: c.tolist() for h, c in zip(header, columns)},
+            "path": None if out_dir is None else Path(out_dir) / name}
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +595,7 @@ def _verify_small_k():
 def run_verify(seed: int, out_dir: Path | None = None) -> dict:
     """Run the full desk-scale check suite; returns a machine-readable report.
 
-    Given `out_dir`, it writes the report there with a manifest that records `seed`.
+    Given `out_dir`, it writes the report there with a manifest that records `master_seed`.
     A negative seed raises `DomainError` before any check runs.
     """
     check_seed(seed)
@@ -619,6 +641,5 @@ def run_verify(seed: int, out_dir: Path | None = None) -> dict:
     }
     with _Outputs(out_dir) as files:
         files.put("verify_report.json", (json.dumps(report, indent=2) + "\n").encode())
-        files.commit(RunManifest({"seed": seed}, duration_seconds=report["duration_seconds"],
-                                 summaries={"passed": passed}))
+        _finish(files, report["duration_seconds"], {"master_seed": seed}, {"passed": passed})
     return report

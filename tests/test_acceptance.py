@@ -154,7 +154,8 @@ def test_criterion_6_gumbel_law():
 def test_criterion_7_circle_coupling():
     rates = {}
     for k in (10, 100, 1000, 10_000):
-        rates[k] = circle_coupling_experiment(k, 10_000, MASTER_SEED, threads=2)
+        res = circle_coupling_experiment(k, 10_000, MASTER_SEED, threads=2)
+        rates[k] = res.summary()["disagreement_rate"]
     vals = list(rates.values())
     ok = all(a > b for a, b in zip(vals, vals[1:])) and rates[10_000] <= 0.05
     _report(7, ok, f"circle-vs-interval disagreement rates {rates} (strictly decreasing, last <= 0.05)")

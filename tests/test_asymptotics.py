@@ -146,7 +146,9 @@ def test_kernels_match_one_shot_spacings(block_draws, monkeypatch):
 @pytest.mark.parametrize("block_draws", [1 << 17, 1000])
 def test_circle_coupling_rates_are_pinned(k, trials, differ, block_draws, monkeypatch):
     monkeypatch.setattr(asymptotics, "_BLOCK_DRAWS", block_draws)
-    assert circle_coupling_experiment(k, trials, 5) == differ / trials
+    res = circle_coupling_experiment(k, trials, 5)
+    assert np.count_nonzero(res.statistics) == differ
+    assert res.summary()["disagreement_rate"] == differ / trials
 
 
 @pytest.mark.parametrize("run, limit_mb", [
@@ -190,10 +192,10 @@ def test_max_gap_gumbel_at_desk_scale():
 
 
 def test_circle_coupling_rate_decreases():
-    r3 = circle_coupling_experiment(3, 10_000, 5)
+    r3 = circle_coupling_experiment(3, 10_000, 5).summary()["disagreement_rate"]
     assert 0.0 <= r3 <= 1.0
-    r10 = circle_coupling_experiment(10, 4000, 5)
-    r1000 = circle_coupling_experiment(1000, 2000, 5)
+    r10 = circle_coupling_experiment(10, 4000, 5).summary()["disagreement_rate"]
+    r1000 = circle_coupling_experiment(1000, 2000, 5).summary()["disagreement_rate"]
     assert r1000 < r10
 
 
@@ -243,7 +245,7 @@ def test_gap_shares_match_shares_of_cumsum_positions(k):
 @pytest.mark.parametrize("run", [
     lambda threads: winning_share_experiment(100_000, 100, 9, threads).statistics,
     lambda threads: max_gap_experiment(100_000, 100, 9, threads).statistics,
-    lambda threads: circle_coupling_experiment(100_000, 100, 9, threads),
+    lambda threads: circle_coupling_experiment(100_000, 100, 9, threads).statistics,
 ], ids=["share", "maxgap", "circle"])
 def test_experiments_do_not_depend_on_threads(run, monkeypatch):
     single = run(1)

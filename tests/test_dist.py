@@ -356,6 +356,7 @@ def test_table_layouts_parse_to_the_same_table(tmp_path):
         "swapped.csv": "density,x\n1,0\n2,0.5\n1,1\n",
         "commented.csv": "\n# x,density\n0,1 # left end\n# a comment line\n\n0.5,2\n1,1\n",
         "extra-column.csv": " x , density ,note\n0,1,a\n0.5,2,b\n1,1,c\n",
+        "header-comment.csv": "x,density # units: 1/length\n0,1\n0.5,2\n1,1\n",
     }
     specs = set()
     for name, text in layouts.items():

@@ -23,6 +23,8 @@ from irvsim.experiments import (
     RunSpec,
     chunk_rng,
     run_beta_sweep,
+    run_density,
+    run_gumbel,
     run_scatter,
     run_verify,
     run_winner_histograms,
@@ -58,6 +60,10 @@ def test_config_validation():
         run_scatter([3.5], dist="uniform", run=_RUN)
     with pytest.raises(DomainError, match="nope"):
         run_winner_histograms([3], rules=tuple(Rule), dist="nope", run=_RUN)
+    with pytest.raises(DomainError, match="unknown gumbel mode 'nope'"):
+        run_gumbel("nope", 50, run=_RUN)
+    with pytest.raises(DomainError, match="points must be >= 2"):
+        run_density(Rule.IRV, 1)
     with pytest.raises(DomainError, match="beta:abc"):
         run_scatter([3], dist="beta:abc", run=_RUN)
 
@@ -374,14 +380,16 @@ def test_elections_do_not_depend_on_chunk_order(monkeypatch):
 
 def test_manifest_records_library_versions(tmp_path):
     # numpy is the one runtime dependency; the random streams come from it.
-    path = RunManifest({"seed": 1}).write(tmp_path / "run.csv")
+    write_csv(tmp_path / "run.csv", ["v"], [np.arange(3)], RunManifest({"seed": 1}))
+    path = tmp_path / "run.manifest.json"
     m = RunManifest.read(path)
     assert m.libraries == {"numpy": np.__version__}
     assert m.to_json() == json.loads(path.read_text())
 
 
 def test_manifest_without_library_versions_still_reads(tmp_path):
-    path = RunManifest({"seed": 1}).write(tmp_path / "run.csv")
+    write_csv(tmp_path / "run.csv", ["v"], [np.arange(3)], RunManifest({"seed": 1}))
+    path = tmp_path / "run.manifest.json"
     data = json.loads(path.read_text())
     del data["libraries"]
     path.write_text(json.dumps(data))
@@ -456,6 +464,8 @@ _READS = {
     run_beta_sweep: dict(alphas=[2.0], k=5, run=_RUN),
     run_winner_histograms: dict(ks=[3], rules=tuple(Rule), dist="uniform", run=_RUN),
     run_scatter: dict(ks=[3], dist="uniform", run=_RUN),
+    run_gumbel: dict(mode="circle", k=50, run=_RUN),
+    run_density: dict(rule=Rule.IRV, points=11),
     run_verify: dict(seed=0),
 }
 
@@ -468,6 +478,8 @@ _READS = {
     (run_verify, {"threads": 2}, "threads"),
     (run_verify, {"dist": "beta:2", "ks": (4,)}, "dist, ks"),
     (run_beta_sweep, {"rules": (Rule.IRV,)}, "rules"),
+    (run_gumbel, {"dist": "beta:2"}, "dist"),
+    (run_density, {"seed": 1, "threads": 2}, "seed, threads"),
 ])
 def test_driver_rejects_fields_it_does_not_read(driver, fields, named):
     for name in named.split(", "):
@@ -507,7 +519,7 @@ def test_verify_suite_passes(tmp_path):
     assert saved["passed"]
     # The manifest records what verify reads, the seed, and the real duration.
     manifest = RunManifest.read(tmp_path / "verify_report.manifest.json")
-    assert manifest.config == {"seed": 0}
+    assert manifest.config == {"master_seed": 0}
     assert manifest.duration_seconds == saved["duration_seconds"] > 0
     # Each check is timed, within the suite's duration.
     assert 0 < sum(c["seconds"] for c in saved["checks"]) <= saved["duration_seconds"]
@@ -758,7 +770,7 @@ def test_cli_usage_error_exit_code():
     (["zone", "--out", "D"], "--out"),
     (["density", "--threads", "2"], "--threads"),
     (["verify", "--threads", "2"], "--threads"),
-    (["gumbel", "--mode", "circle", "--k", "50", "--trials", "10", "--out", "D"], "--out"),
+    (["gumbel", "--mode", "circle", "--k", "50", "--trials", "10", "--out"], "--out"),
     (["zone", "--dist", "table:empty.csv"], "no rows"),
     (["simulate", "--trials", "0"], "trials must be >= 1"),
     (["scatter", "--k", "0"], "k must be >= 1"),
@@ -855,18 +867,42 @@ def test_cli_every_csv_has_a_manifest(tmp_path, capsys):
         ["betasweep", "--alpha", "2", "--k", "5", "--trials", "200", "--seed", "3"],
         ["density", "--rule", "plurality", "--points", "11"],
         ["gumbel", "--mode", "share", "--k", "50", "--trials", "40", "--seed", "3"],
+        ["gumbel", "--mode", "circle", "--k", "50", "--trials", "40", "--seed", "3"],
     ]
     for argv in runs:
         assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
-    assert "exact_density_irv_k3.csv" in csvs and "gumbel_share_k50.csv" in csvs
+    assert {"exact_density_irv_k3.csv", "gumbel_share_k50.csv", "gumbel_circle_k50.csv"} <= {*csvs}
     for name in csvs:
         assert (tmp_path / name.replace(".csv", ".manifest.json")).exists(), name
     gumbel = RunManifest.read(tmp_path / "gumbel_share_k50.manifest.json")
-    assert gumbel.config == {"mode": "share", "k": 50, "trials": 40, "seed": 3}
+    assert gumbel.config == {"mode": "share", "k": 50, "trials": 40, "master_seed": 3,
+                             "threads": 1}
     assert gumbel.duration_seconds > 0
     simulate = RunManifest.read(tmp_path / "winners_irv_k3.manifest.json")
     assert "format" not in simulate.config and "tie_rule" not in simulate.config
+
+
+# The stdout keys each command printed before it ran through an experiments
+# driver; the benchmark reads gumbel's "ks".
+_GUMBEL_KEYS = {"k", "trials", "ks", "median", "mean"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["gumbel", "--mode", "share", "--k", "50", "--trials", "40"], _GUMBEL_KEYS),
+    (["gumbel", "--mode", "maxgap", "--k", "50", "--trials", "40"], _GUMBEL_KEYS),
+    (["gumbel", "--mode", "circle", "--k", "50", "--trials", "40"],
+     {"k", "trials", "disagreement_rate"}),
+    (["density", "--rule", "irv", "--points", "11"], {"x", "density"}),
+], ids=["gumbel-share", "gumbel-maxgap", "gumbel-circle", "density"])
+@pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+def test_cli_stdout_is_unchanged(argv, keys, out, tmp_path, capsys):
+    assert cli.main(argv + (["--out", str(tmp_path)] if out else [])) == 0
+    stdout = capsys.readouterr().out
+    if out and argv[0] == "density":  # it prints the path of the CSV it wrote
+        assert stdout == f"{tmp_path / 'exact_density_irv_k3.csv'}\n"
+    else:
+        assert set(json.loads(stdout)) == keys
 
 
 def test_cli_gumbel_maxgap(tmp_path, capsys):
@@ -928,9 +964,9 @@ _MANIFEST_CONFIGS = {
     "gumbel": (
         ["gumbel", "--mode", "share", "--k", "50", "--trials", "40", "--seed", "3"],
         "gumbel_share_k50.manifest.json",
-        {"mode": "share", "k": 50, "trials": 40, "seed": 3},
+        {"mode": "share", "k": 50, "trials": 40, "master_seed": 3, "threads": 1},
     ),
-    "verify": (["verify", "--seed", "3"], "verify_report.manifest.json", {"seed": 3}),
+    "verify": (["verify", "--seed", "3"], "verify_report.manifest.json", {"master_seed": 3}),
 }
 
 

@@ -23,6 +23,8 @@ CASES = {
                      "--seed", "10"],
     "gumbel-maxgap": ["gumbel", "--mode", "maxgap", "--k", "200", "--trials", "300",
                       "--seed", "11"],
+    "gumbel-circle": ["gumbel", "--mode", "circle", "--k", "200", "--trials", "300",
+                      "--seed", "15"],
     # Several chunks, so the threads-1/2 comparison covers their interleaving.
     "gumbel-share-chunks": ["gumbel", "--mode", "share", "--k", "100000", "--trials", "100",
                             "--seed", "13"],
@@ -47,6 +49,8 @@ GOLDEN = {
     # stream change).
     "gumbel-share": "b55a926e0ab80d017706897edf01cdc7dadcdaa6fd2a6317d306caab6d5536d7",
     "gumbel-maxgap": "d51f80a7e9d8b7f3577d4ea76a7787d89de99d3c50de2be7fa86ea19c44cc5d8",
+    # The per-trial flags; 25 of the 300 differ.
+    "gumbel-circle": "54a5d738b12d63d9c35ba5bff73143af798f13050038306581db897c152ce59b",
     "gumbel-share-chunks": "bba07d9fdc6d28d36ae2944d44ad51d26ddcfe071695a9a1498305e78d3237c0",
     # Both rules tabulate one shared draw per alpha, and Beta(alpha, alpha)
     # candidates come from numpy's rng.beta instead of inverting betainc (two
@@ -104,7 +108,8 @@ def test_golden_csv_across_block_seams(case, threads, tmp_path, monkeypatch, cap
     assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
 
 
-@pytest.mark.parametrize("case", ["gumbel-share", "gumbel-maxgap", "gumbel-share-chunks"])
+@pytest.mark.parametrize("case", ["gumbel-share", "gumbel-maxgap", "gumbel-circle",
+                                  "gumbel-share-chunks"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_golden_gumbel_across_spacing_blocks(case, threads, tmp_path, monkeypatch, capsys):
     # Blocks of 4 or 5 rows at k = 200 and of one row at k = 1e5 put seams inside every chunk.
