@@ -370,21 +370,21 @@ def density_table(rule: Rule, points: int = 1001):
 
 
 def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
-    """Winner positions per (rule, k) for voters drawn from the `dist` spec.
-
-    For k = 3 and uniform voters it adds the exact density overlay.
-    """
+    """Winner positions per (rule, k) for voters drawn from the `dist` spec, every rule
+    on the same draws per k; for k = 3 and uniform voters, the exact density overlay too."""
     _check_ks(ks)
     _require_distinct("rule", rules, lambda rule: rule.value)
     d = parse_dist_spec(dist)
-    summaries = {}
+    # Summary keys in rule, then k, order, though the runs go k by k.
+    summaries = dict.fromkeys(f"{rule.value}_k{k}" for rule in rules for k in ks)
     uniform = isinstance(d, Uniform)
     with _Outputs(run.out_dir) as files:
-        for rule in rules:
-            for k in ks:
-                exp_id = f"winners/{rule.value}/k={k}/{d.spec()}"
-                winners, ties = _elections(run, exp_id, d, k, (rule,))[0][rule]
-                entry = {
+        for k in ks:
+            # scatter's stream: for the same (k, dist, seed) both draw the same profiles.
+            results, _ = _elections(run, f"scatter/k={k}/{d.spec()}", d, k, rules)
+            for rule in rules:
+                winners, ties = results.pop(rule)  # dropped once its outputs are written
+                entry = summaries[f"{rule.value}_k{k}"] = {
                     "rule": rule.value,
                     "k": k,
                     "trials": run.trials,
@@ -392,7 +392,6 @@ def run_winner_histograms(ks, *, rules, dist: str, run: RunSpec) -> dict:
                     "mean": float(winners.mean()),
                     "var_about_half": float(np.mean((winners - 0.5) ** 2)),
                 }
-                summaries[f"{rule.value}_k{k}"] = entry
                 files.append(f"winners_{rule.value}_k{k}.csv", ["trial", "winner_position", "tie"],
                              [range(run.trials), winners, ties])
                 if k == 3 and uniform:

@@ -257,28 +257,28 @@ def midpoint_cdf(sorted_pos: np.ndarray, d: VoterDistribution) -> np.ndarray:
     return d.cdf(0.5 * (sorted_pos[:, :-1] + sorted_pos[:, 1:]))
 
 
-def shares_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None) -> np.ndarray:
-    """Row-wise vote shares for a (trials, k) array of sorted positions and its midpoint_cdf."""
-    n, k = sorted_pos.shape
-    if k < 1:
+def shares_batch(sorted_pos: np.ndarray, d: VoterDistribution) -> np.ndarray:
+    """Row-wise vote shares for a (trials, k) array of sorted positions."""
+    if sorted_pos.shape[1] < 1:
         raise InvalidProfileError("need at least one candidate position")
-    if k == 1:
-        return np.ones((n, 1))
-    cuts = np.empty((n, k + 1))
-    cuts[:, 0] = 0.0
-    cuts[:, 1:-1] = midpoint_cdf(sorted_pos, d) if mid_cdf is None else mid_cdf
-    cuts[:, -1] = 1.0
-    return np.diff(cuts, axis=1)
+    return np.diff(midpoint_cdf(sorted_pos, d), axis=1, prepend=0.0, append=1.0)
 
 
 def plurality_batch(sorted_pos: np.ndarray, d: VoterDistribution, mid_cdf=None):
-    """Winner positions and tie flags for each row."""
-    shares = shares_batch(sorted_pos, d, mid_cdf)
-    top = shares.max(axis=1)
-    tie = (shares == top[:, None]).sum(axis=1) > 1
-    # Rightmost among exact ties, matching the leftmost-elimination policy.
-    j = shares.shape[1] - 1 - np.argmax(shares[:, ::-1], axis=1)
-    return sorted_pos[np.arange(sorted_pos.shape[0]), j], tie
+    """Winner positions and tie flags for each row; see midpoint_cdf. The rightmost candidate
+    at the exact maximum share wins (the leftmost-elimination policy). The shares are
+    shares_batch's, laid out candidate-major as in irv_batch so reductions run over rows."""
+    n, k = np.shape(sorted_pos)
+    if k < 1:
+        raise InvalidProfileError("need at least one candidate position")
+    cuts = np.zeros((k + 1, n))
+    cuts[1:k] = (midpoint_cdf(sorted_pos, d) if mid_cdf is None else mid_cdf).T
+    cuts[k] = 1.0
+    shares = cuts[1:] - cuts[:-1]
+    top = shares == shares.max(axis=0)
+    w = np.arange(k, dtype=np.min_scalar_type(k))[:, None]
+    tie = np.add.reduce(top, axis=0, dtype=w.dtype) > 1
+    return sorted_pos[np.arange(n), np.maximum.reduce(top * w, axis=0)], tie
 
 
 def _select(out, a, b, keep):

@@ -307,24 +307,27 @@ def test_failed_run_writes_nothing(tmp_path, monkeypatch):
     winners = tabulate.winners
     streamed = []
 
-    def fail_on_irv(rule, *args):
-        if rule is Rule.IRV:  # the second rule: the first one's files are written
+    def fail_at_k4(rule, pos, *args):
+        if pos.shape[1] == 4:  # the second k: the first one's files are written
             streamed.extend(sorted(p.name for p in tmp_path.iterdir()))
             raise RuntimeError("tabulation failed")
-        return winners(rule, *args)
+        return winners(rule, pos, *args)
 
-    monkeypatch.setattr(tabulate, "winners", fail_on_irv)
+    monkeypatch.setattr(tabulate, "winners", fail_at_k4)
     with pytest.raises(RuntimeError, match="tabulation failed"):
-        run_winner_histograms([3], rules=tuple(Rule), dist="uniform",
+        run_winner_histograms([3, 4], rules=tuple(Rule), dist="uniform",
                               run=RunSpec(5000, 1, out_dir=tmp_path))
-    assert streamed == ["exact_density_plurality_k3.csv.tmp", "winners_plurality_k3.csv.tmp"]
+    assert streamed == [f"{kind}_{rule}_k3.csv.tmp" for kind in ("exact_density", "winners")
+                        for rule in ("irv", "plurality")]
     assert list(tmp_path.iterdir()) == []
 
 
-def test_drivers_hold_one_output_at_a_time(tmp_path):
-    # Holding all four outputs' columns until the end peaked at about 5.3 MB;
-    # one output's columns at 40,000 trials are about 0.7 MB (winners, ties and
-    # the KS sort), next to about 2 MB of formatting temporaries per CSV block.
+def test_drivers_hold_one_k_at_a_time(tmp_path):
+    # Holding all four outputs' columns until the end peaked at about 5.3 MB.
+    # Each k's draw is tabulated under both rules at once, so both rules'
+    # winners and ties at 40,000 trials (about 0.7 MB) live until that k's
+    # outputs are written, next to the KS sort and about 2 MB of formatting
+    # temporaries per CSV block; the next k's draw comes after they are dropped.
     run = RunSpec(40_000, 0, out_dir=tmp_path)
     # A small run first, so that cached tables are not counted.
     run_winner_histograms([3], rules=(Rule.IRV,), dist="uniform", run=RunSpec(10, 0))
@@ -724,8 +727,13 @@ def test_cli_zone(capsys):
     assert out["degenerate"] is False
 
 
-# Small runs of every subcommand, with every warning raised as an error. The
-# table is 0.4 + cos^2(2 pi x), the goldens' table, which has no interior zero.
+def _write_cos2_table(directory):
+    """cos2.csv in `directory`: 0.4 + cos^2(2 pi x), the goldens' table, with no interior zero."""
+    rows = [f"{i / 200!r},{0.4 + math.cos(math.pi * i / 100) ** 2!r}" for i in range(201)]
+    (directory / "cos2.csv").write_text("\n".join(["x,density", *rows]) + "\n")
+
+
+# Small runs of every subcommand, with every warning raised as an error.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["simulate", "--k", "3", "5", "--trials", "300"],
@@ -740,8 +748,7 @@ def test_cli_zone(capsys):
 ], ids=lambda argv: "-".join(argv[:3]))
 def test_cli_runs_without_a_warning(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rows = [f"{i / 200!r},{0.4 + math.cos(math.pi * i / 100) ** 2!r}" for i in range(201)]
-    (tmp_path / "cos2.csv").write_text("\n".join(["x,density", *rows]) + "\n")
+    _write_cos2_table(tmp_path)
     assert cli.main(argv) == 0, capsys.readouterr().err
     if argv[0] == "zone":  # c = 0: the zone says nothing, and says so in its JSON
         assert json.loads(capsys.readouterr().out)["degenerate"] is True
@@ -858,6 +865,50 @@ def test_simulate_and_density_write_the_same_exact_table(tmp_path, capsys):
     simulated, exact = (tmp_path / command / "exact_density_irv_k3.csv"
                         for command in ("simulate", "density"))
     assert simulated.read_bytes() == exact.read_bytes()
+
+
+def _csv_columns(path):
+    """A CSV's cells, as text, by column name."""
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+# 5,000 trials are two chunks, so two threads run them at once.
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dist, k", [("uniform", 3), ("uniform", 6), ("table:cos2.csv", 4)])
+def test_simulate_and_scatter_write_the_same_winners(dist, k, threads, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_cos2_table(tmp_path)
+    common = ["--dist", dist, "--k", str(k), "--trials", "5000", "--seed", "21",
+              "--threads", str(threads)]
+    for command in ("simulate", "scatter"):
+        assert cli.main([command, *common, "--out", command]) == 0
+    scatter = _csv_columns(tmp_path / "scatter" / f"scatter_k{k}.csv")
+    for rule in ("plurality", "irv"):
+        simulated = _csv_columns(tmp_path / "simulate" / f"winners_{rule}_k{k}.csv")
+        assert simulated["winner_position"] == scatter[f"{rule}_position"], rule
+
+
+@pytest.mark.parametrize("rule", ["plurality", "irv"])
+@pytest.mark.parametrize("dist", ["uniform", "table:cos2.csv"])
+def test_simulate_one_rule_writes_the_bytes_of_both(rule, dist, tmp_path, monkeypatch, capsys):
+    # One rule alone draws the profiles of both rules, which are scatter's.
+    monkeypatch.chdir(tmp_path)
+    _write_cos2_table(tmp_path)
+    common = ["--dist", dist, "--k", "3", "5", "--trials", "5000", "--seed", "22"]
+    for rules in (rule, "both"):
+        assert cli.main(["simulate", *common, "--rule", rules, "--out", rules]) == 0
+    assert cli.main(["scatter", *common, "--out", "scatter"]) == 0
+    alone = sorted(p.name for p in (tmp_path / rule).glob("*.csv"))
+    overlay = [f"exact_density_{rule}_k3.csv"] if dist == "uniform" else []
+    assert alone == sorted([*overlay, f"winners_{rule}_k3.csv", f"winners_{rule}_k5.csv"])
+    for name in alone:
+        assert (tmp_path / rule / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+    for k in (3, 5):
+        simulated = _csv_columns(tmp_path / rule / f"winners_{rule}_k{k}.csv")
+        scatter = _csv_columns(tmp_path / "scatter" / f"scatter_k{k}.csv")
+        assert simulated["winner_position"] == scatter[f"{rule}_position"]
 
 
 def test_cli_every_csv_has_a_manifest(tmp_path, capsys):

@@ -8,6 +8,7 @@ speedups: a change that alters one must say it changes that random stream.
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from irvsim import asymptotics, cli, experiments
@@ -37,11 +38,16 @@ CASES = {
 }
 
 GOLDEN = {
-    "simulate-uniform": "aed6bf831bf54cc81586f6c240cff0b37a8fe12dfdbfd05921cd8677c758d0b2",
+    # Every rule tabulates one draw per k, on scatter's stream (a declared
+    # stream change; it was
+    # aed6bf831bf54cc81586f6c240cff0b37a8fe12dfdbfd05921cd8677c758d0b2).
+    "simulate-uniform": "a71c969a355d3d4fed7e632c22c02cace38e7e5532dc878ca56822c7c87aadfc",
     # Experiment ids name a table by the digest of its grid and density, not by
-    # its path (a declared stream change; it was
-    # 45ed0a0afb45d23b802720f49c2f9283a15a38a8e17b78e926020a9828746889).
-    "simulate-table": "b9ce734c29eff5f9b981e5922324006c4c55290028437254456277c60084816c",
+    # its path, and every rule tabulates one draw per k, on scatter's stream
+    # (two declared stream changes; it was
+    # 45ed0a0afb45d23b802720f49c2f9283a15a38a8e17b78e926020a9828746889, then
+    # b9ce734c29eff5f9b981e5922324006c4c55290028437254456277c60084816c).
+    "simulate-table": "d3ada9d062bf6e4f8e085c8cedf7558d21dfa1befd1920bb1bce627fcf53f8b6",
     "scatter": "acb60e4be3d4d5d1d15af7e2a4e81445eb74b73155c392236c6502d4f639954c",
     "density-irv": "c9201d92257deb4d67c8d3f23a7bb1c554dc1883fc85f2e4c64e5bfa78f7c5e7",
     "density-plurality": "645864707eeb3f6ec2b11ff9dd8bea92f2a2860d8d29dad83ad809a787d38969",
@@ -61,6 +67,19 @@ GOLDEN = {
     # IRV flags at alpha = 0.2 and 0.3 fell to 0; positions are unchanged).
     "betasweep-polarized": "7bb9f1186e82b138e2c6538362a1ef9d1637b04590461e217e10d548237a301e",
 }
+
+
+# The hashes depend on numpy's Generator streams, which numpy does not promise
+# to keep across releases; they were recorded under this one.
+RECORDED_NUMPY = "2.4.6"
+
+
+def assert_golden(case, digest):
+    """Fail unless `digest` is the golden hash of `case`, naming the numpy
+    release the hashes were recorded under next to the running one."""
+    assert digest == GOLDEN[case], (
+        f"{case}: CSV hash {digest} is not the golden {GOLDEN[case]}; the goldens were "
+        f"recorded under numpy {RECORDED_NUMPY} and this run uses numpy {np.__version__}")
 
 
 def _write_density(path, points=201):
@@ -96,7 +115,7 @@ def csv_digest(case, threads, work):
 ])
 def test_golden_csv(case, threads, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
+    assert_golden(case, csv_digest(case, threads, tmp_path))
 
 
 @pytest.mark.parametrize("case", ["simulate-uniform", "betasweep"])
@@ -105,7 +124,7 @@ def test_golden_csv_across_block_seams(case, threads, tmp_path, monkeypatch, cap
     # Every golden CSV fits in one block; an odd block size puts seams inside them.
     monkeypatch.setattr(experiments, "_CSV_BLOCK_ROWS", 777)
     monkeypatch.chdir(tmp_path)
-    assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
+    assert_golden(case, csv_digest(case, threads, tmp_path))
 
 
 @pytest.mark.parametrize("case", ["gumbel-share", "gumbel-maxgap", "gumbel-circle",
@@ -115,7 +134,14 @@ def test_golden_gumbel_across_spacing_blocks(case, threads, tmp_path, monkeypatc
     # Blocks of 4 or 5 rows at k = 200 and of one row at k = 1e5 put seams inside every chunk.
     monkeypatch.setattr(asymptotics, "_BLOCK_DRAWS", 1000)
     monkeypatch.chdir(tmp_path)
-    assert csv_digest(case, threads, tmp_path) == GOLDEN[case]
+    assert_golden(case, csv_digest(case, threads, tmp_path))
+
+
+def test_golden_mismatch_names_both_numpy_versions():
+    with pytest.raises(AssertionError) as failure:
+        assert_golden("scatter", "0" * 64)
+    message = str(failure.value)
+    assert f"numpy {RECORDED_NUMPY}" in message and f"numpy {np.__version__}" in message
 
 
 @pytest.mark.parametrize("command", ["simulate", "scatter"])

@@ -333,6 +333,33 @@ def test_irv_batch_matches_full_recompute_bitwise(name):
     assert _irv_batch_full_recompute(_grid_profiles(4, 500, rng), U)[1].any()
 
 
+def _plurality_batch_rowwise(sorted_pos, d):
+    """Reference: row-wise shares; the rightmost maximum wins."""
+    shares = shares_batch(sorted_pos, d)
+    top = shares.max(axis=1)
+    tie = (shares == top[:, None]).sum(axis=1) > 1
+    j = shares.shape[1] - 1 - np.argmax(shares[:, ::-1], axis=1)
+    return sorted_pos[np.arange(sorted_pos.shape[0]), j], tie
+
+
+@pytest.mark.parametrize("name", sorted(DISTS))
+def test_plurality_batch_matches_rowwise_bitwise(name):
+    d = DISTS[name]
+    rng = np.random.default_rng(14)
+    for k in (1, 2, 3, 5, 30, 100):
+        n = 500 if k <= 30 else 100
+        for pos in (sample_sorted_positions(d, k, n, rng), _grid_profiles(k, n, rng)):
+            w, tie = plurality_batch(pos, d)
+            w_ref, tie_ref = _plurality_batch_rowwise(pos, d)
+            assert w.tobytes() == w_ref.tobytes()
+            assert np.array_equal(tie, tie_ref)
+            w_mid, tie_mid = plurality_batch(pos, d, midpoint_cdf(pos, d))
+            assert w_mid.tobytes() == w.tobytes()
+            assert np.array_equal(tie_mid, tie)
+    # The grid rows do produce ties, so the tie path is exercised.
+    assert _plurality_batch_rowwise(_grid_profiles(3, 500, rng), U)[1].any()
+
+
 def test_irv_batch_flags_a_256_way_tie():
     # Candidates at (2i + 1)/1024: the first 256 uniform shares are exactly 1/512.
     # A tie count of 256 and weights up to 257 take irv_batch's 16-bit counters.
