@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chunks import map_chunks
-from .dist import Uniform
 from .errors import DomainError, check_int, require
 # Never called here: perfbench's tests and tests/test_benchmark_bindings.py assert that
-# asymptotics has irv_batch and plurality_batch (the tracer rebinds by identity, not name).
+# asymptotics has irv_batch, plurality_batch and shares_batch (the tracer rebinds by identity).
 from .tabulate import irv_batch, plurality_batch, shares_batch  # noqa: F401
 
 __all__ = [
@@ -123,15 +122,16 @@ class GumbelExperimentResult:
         }
 
 
-def _gap_shares(gaps: np.ndarray) -> np.ndarray:
+def _gap_shares(gaps: np.ndarray, left, right) -> np.ndarray:
     """Uniform-voter plurality shares of the k = n - 1 candidates between n gaps.
 
-    Candidate i takes half of each adjacent gap; each end candidate also takes
-    the other half of its outer gap, which no other candidate borders.
+    Candidate i takes half of each adjacent gap; the first candidate also takes
+    half of `left` and the last half of `right`. On the interval these are each
+    end candidate's own outer gap, whose other half no other candidate borders.
     """
     shares = gaps[:, :-1] + gaps[:, 1:]
-    shares[:, 0] += gaps[:, 0]
-    shares[:, -1] += gaps[:, -1]
+    shares[:, 0] += left
+    shares[:, -1] += right
     shares *= 0.5
     return shares
 
@@ -148,7 +148,7 @@ def winning_share_experiment(k: int, trials: int, seed: int,
     center = math.log(n) + math.log(math.log(n))
 
     def statistic(gaps):
-        v = _gap_shares(gaps).max(axis=1)
+        v = _gap_shares(gaps, gaps[:, 0], gaps[:, -1]).max(axis=1)
         require(np.all(v >= 1.0 / k), "a winning share below 1/k")  # pigeonhole
         return 2.0 * n * v - center
 
@@ -196,17 +196,12 @@ def circle_coupling_experiment(k: int, trials: int, seed: int,
     k = check_int("k", k, 3)
 
     def differs(gaps):
+        interval = _gap_shares(gaps, gaps[:, 0], gaps[:, -1])
         # On the circle the two outer gaps form one wrap arc g_0 + g_k, half
         # of which goes to each end candidate.
-        circle = gaps[:, :-1] + gaps[:, 1:]
-        circle[:, 0] += gaps[:, -1]
-        circle[:, -1] += gaps[:, 0]
-        circle *= 0.5
-        interval = shares_batch(np.cumsum(gaps[:, :-1], axis=1), Uniform())
+        circle = _gap_shares(gaps, gaps[:, -1], gaps[:, 0])
         require(np.all(np.abs(circle.sum(axis=1) - 1.0) < 1e-12),
                 "circle shares do not sum to 1")
-        require(np.all(np.abs(circle[:, 1:-1] - interval[:, 1:-1]) < 1e-12),
-                "circle and interval shares differ away from the cut")
         return circle.argmax(axis=1) != interval.argmax(axis=1)
 
     flags = _spacing_statistics(k + 1, trials, seed, f"circle/k={k}", threads, differs)

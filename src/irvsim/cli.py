@@ -7,10 +7,8 @@ Exit codes: 0 success, 1 usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
-import stat
 import sys
 from pathlib import Path
 
@@ -161,30 +159,12 @@ def _cmd_verify(args) -> int:
     return _emit(report, EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL)
 
 
-def _check_out(out: Path) -> None:
-    """Raise OSError unless `out` or its nearest existing ancestor is a
-    directory, so a run that could not write there fails before any work.
-    Creates nothing."""
-    path = out
-    while True:
-        try:
-            if not stat.S_ISDIR(os.stat(path).st_mode):
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
-            return
-        except FileNotFoundError:
-            if path.parent == path:
-                raise
-            path = path.parent
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
         return args.handler(args)
     except (IrvsimError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"irvsim: error: {exc}", file=sys.stderr)

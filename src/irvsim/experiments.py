@@ -10,9 +10,11 @@ identical regardless of worker count.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
+import stat
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -229,13 +231,24 @@ class _Outputs:
     stages each staged file's manifest, then renames every tmp file over its
     name, and refuses before the first rename if a directory holds one of the
     names. Leaving the `with` block without a commit, as a raising run does,
-    removes the tmp files, so a failed run leaves none of its files. The
-    directory is created with the first file; with none, nothing is written.
+    removes the tmp files, so a failed run leaves none of its files. Made with an
+    `out_dir`, it raises OSError, creating nothing, unless that or its nearest existing
+    ancestor is a directory (only "not found" walks up), so a run fails before any work.
+    The directory is created with the first file; with none, nothing is written.
     `elapsed()`, the time since it was made less the time writing rows, is a run's duration.
     """
 
     def __init__(self, out_dir):
-        self.out_dir = None if out_dir is None else Path(out_dir)
+        path = self.out_dir = None if out_dir is None else Path(out_dir)
+        while path is not None:
+            try:
+                if not stat.S_ISDIR(os.stat(path).st_mode):
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
+                path = None
+            except FileNotFoundError:
+                if path.parent == path:
+                    raise
+                path = path.parent
         self.t0 = time.monotonic()
         self.seconds = 0.0
         self._open = {}  # name -> file object of <name>.tmp
@@ -595,50 +608,49 @@ def run_verify(seed: int, out_dir: Path | None = None) -> dict:
     """Run the full desk-scale check suite; returns a machine-readable report.
 
     Given `out_dir`, it writes the report there with a manifest that records `master_seed`.
-    A negative seed raises `DomainError` before any check runs.
+    A negative seed, or an `out_dir` that cannot be a directory, raises before any check runs.
     """
     check_seed(seed)
-    t0 = time.monotonic()
-    checks = [_check(*check) for check in (
-        ("exact-k3-identities",
-         "k=3 winner densities integrate to 1, are continuous, have variances "
-         "23/540 (plurality) and 25/864 (IRV), and match 3x the per-order-"
-         "statistic win probabilities",
-         None, _verify_exact_identities),
-        ("uniform-zone-sweep",
-         "uniform voters, k=6: whenever a candidate lies in [1/6, 5/6] the "
-         "IRV winner lies in [1/6, 5/6]",
-         seed, lambda: _verify_zone_sweep(seed, Uniform(), "verify/zone-sweep", 20_000)),
-        ("hyper-polarized-zone-sweep",
-         "Beta(0.3, 0.3) voters, k=6: whenever both [0, c] and [1-c, 1] hold a "
-         "candidate (c = 2F^-1(1/3)) the IRV winner lies in one of them",
-         seed, lambda: _verify_zone_sweep(seed, SymmetricBeta(0.3),
-                                          "verify/hyper-polarized-zone-sweep", 5_000)),
-        ("closed-form-zones",
-         "closed-form zone boundaries satisfy the vote-share condition "
-         "(uniform c=1/6; Beta(2,2))",
-         None, _verify_closed_form_zones),
-        ("discrete-oracle",
-         "continuous IRV matches discrete IRV on the exact voter mass of "
-         "each ranking for all of 30 random profiles",
-         seed, lambda: _verify_oracle_equivalence(seed)),
-        ("gumbel-limits",
-         "max-gap and winning-share statistics are close to the Gumbel law "
-         "at desk scale",
-         seed, lambda: _verify_gumbel(seed)),
-        ("small-k-counterexample",
-         "five-candidate profile where IRV elects a strictly more extreme "
-         "winner than plurality",
-         None, _verify_small_k),
-    )]
-    passed = all(c["passed"] for c in checks)
-    report = {
-        "passed": passed,
-        "checks": checks,
-        "master_seed": seed,
-        "duration_seconds": time.monotonic() - t0,
-    }
     with _Outputs(out_dir) as files:
+        checks = [_check(*check) for check in (
+            ("exact-k3-identities",
+             "k=3 winner densities integrate to 1, are continuous, have variances "
+             "23/540 (plurality) and 25/864 (IRV), and match 3x the per-order-"
+             "statistic win probabilities",
+             None, _verify_exact_identities),
+            ("uniform-zone-sweep",
+             "uniform voters, k=6: whenever a candidate lies in [1/6, 5/6] the "
+             "IRV winner lies in [1/6, 5/6]",
+             seed, lambda: _verify_zone_sweep(seed, Uniform(), "verify/zone-sweep", 20_000)),
+            ("hyper-polarized-zone-sweep",
+             "Beta(0.3, 0.3) voters, k=6: whenever both [0, c] and [1-c, 1] hold a "
+             "candidate (c = 2F^-1(1/3)) the IRV winner lies in one of them",
+             seed, lambda: _verify_zone_sweep(seed, SymmetricBeta(0.3),
+                                              "verify/hyper-polarized-zone-sweep", 5_000)),
+            ("closed-form-zones",
+             "closed-form zone boundaries satisfy the vote-share condition "
+             "(uniform c=1/6; Beta(2,2))",
+             None, _verify_closed_form_zones),
+            ("discrete-oracle",
+             "continuous IRV matches discrete IRV on the exact voter mass of "
+             "each ranking for all of 30 random profiles",
+             seed, lambda: _verify_oracle_equivalence(seed)),
+            ("gumbel-limits",
+             "max-gap and winning-share statistics are close to the Gumbel law "
+             "at desk scale",
+             seed, lambda: _verify_gumbel(seed)),
+            ("small-k-counterexample",
+             "five-candidate profile where IRV elects a strictly more extreme "
+             "winner than plurality",
+             None, _verify_small_k),
+        )]
+        passed = all(c["passed"] for c in checks)
+        report = {
+            "passed": passed,
+            "checks": checks,
+            "master_seed": seed,
+            "duration_seconds": files.elapsed(),
+        }
         files.put("verify_report.json", (json.dumps(report, indent=2) + "\n").encode())
         _finish(files, report["duration_seconds"], {"master_seed": seed}, {"passed": passed})
     return report

@@ -121,6 +121,11 @@ def _chunk_rngs(monkeypatch):
     return chunks
 
 
+def _interval_shares(gaps):
+    """The interval model's shares: each end candidate takes half of its own outer gap."""
+    return _gap_shares(gaps, gaps[:, 0], gaps[:, -1])
+
+
 @pytest.mark.parametrize("block_draws", [1 << 17, 3000, 1])
 def test_kernels_match_one_shot_spacings(block_draws, monkeypatch):
     # n = 1001 gives chunks of 999 trials, which no block height here divides.
@@ -129,8 +134,8 @@ def test_kernels_match_one_shot_spacings(block_draws, monkeypatch):
     chunks = _chunk_rngs(monkeypatch)
     share = winning_share_experiment(n - 1, trials, 3).statistics
     center = math.log(n) + math.log(math.log(n))
-    ref = [2.0 * n * _gap_shares(spacings(n, rows.stop - rows.start, rng)).max(axis=1) - center
-           for rows, rng in chunks]
+    ref = [2.0 * n * _interval_shares(spacings(n, rows.stop - rows.start, rng)).max(axis=1)
+           - center for rows, rng in chunks]
     assert len(chunks) == 3
     np.testing.assert_array_equal(share, np.concatenate(ref))
     chunks.clear()
@@ -239,7 +244,11 @@ def test_gap_shares_match_shares_of_cumsum_positions(k):
     gaps = np.random.default_rng(k).standard_exponential((5, k + 1))
     gaps /= gaps.sum(axis=1, keepdims=True)
     positions = np.cumsum(gaps[:, :-1], axis=1)
-    assert np.max(np.abs(_gap_shares(gaps) - shares_batch(positions, Uniform()))) <= 1e-12
+    interval = _interval_shares(gaps)
+    assert np.max(np.abs(interval - shares_batch(positions, Uniform()))) <= 1e-12
+    # The circle model swaps the outer gaps' halves, so only the end candidates' shares move.
+    circle = _gap_shares(gaps, gaps[:, -1], gaps[:, 0])
+    np.testing.assert_array_equal(circle[:, 1:-1], interval[:, 1:-1])
 
 
 @pytest.mark.parametrize("run", [

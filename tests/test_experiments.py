@@ -1,7 +1,9 @@
 import ast
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -163,9 +165,15 @@ def test_write_csv_matches_reference_writer(tmp_path, monkeypatch):
         assert path.read_text() == expected
 
 
+# Each call writes a fresh name: on ext4 a rename over an existing file took about 49 ms,
+# against 0.05 ms onto a new name, and every call renames a CSV and its manifest.
+_CELL_FILES = itertools.count()
+
+
 def _written_cells(directory, column):
     """The cells write_csv writes for one column, as bytes."""
-    path = write_csv(directory / "cells.csv", ["v"], [column], RunManifest({}, libraries={}))
+    path = write_csv(directory / f"cells{next(_CELL_FILES)}.csv", ["v"], [column],
+                     RunManifest({}, libraries={}))
     return path.read_bytes().split(b"\n")[1:-1]
 
 
@@ -839,6 +847,36 @@ def test_cli_rejects_an_unusable_out_before_any_work(argv, tmp_path, monkeypatch
     assert cli.main(argv) == 1
     assert "Not a directory" in capsys.readouterr().err
     assert calls == []
+
+
+_OUT_DIR_CALLERS = {
+    "run_winner_histograms": lambda out: run_winner_histograms(
+        [3, 30], rules=tuple(Rule), dist="uniform", run=RunSpec(10, 0, out_dir=out)),
+    "run_scatter": lambda out: run_scatter([3], dist="uniform", run=RunSpec(10, 0, out_dir=out)),
+    "run_beta_sweep": lambda out: run_beta_sweep([2.0], 5, run=RunSpec(10, 0, out_dir=out)),
+    "run_gumbel": lambda out: run_gumbel("share", 100_000, run=RunSpec(10, 0, out_dir=out)),
+    "run_density": lambda out: run_density(Rule.IRV, 11, out),
+    "run_verify": lambda out: run_verify(0, out),
+    "write_csv": lambda out: write_csv(out / "v.csv", ["v"], [range(3)], RunManifest({})),
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("caller", sorted(_OUT_DIR_CALLERS))
+def test_library_rejects_an_unusable_out_dir_before_any_work(caller, under, tmp_path,
+                                                              monkeypatch):
+    (tmp_path / "empty.csv").write_text("")
+    out = tmp_path / "empty.csv" / "sub" if under else tmp_path / "empty.csv"
+    calls = []
+    for module, name in [(experiments, "_elections"), (experiments, "_check"),
+                         (experiments, "density_table"),
+                         (asymptotics, "winning_share_experiment")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
+    with pytest.raises(NotADirectoryError, match=re.escape(str(out))):
+        _OUT_DIR_CALLERS[caller](out)
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
+    assert (tmp_path / "empty.csv").read_text() == ""
 
 
 def test_cli_simulate(tmp_path, capsys):

@@ -7,6 +7,10 @@ speedups: a change that alters one must say it changes that random stream.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +160,31 @@ def test_table_streams_do_not_depend_on_its_path(command, tmp_path, monkeypatch,
         assert cli.main(argv) == 0
         written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     assert written[0] and written[0] == written[1] == written[2]
+
+
+# Run in a fresh interpreter as `-c _ON_BASELINE golden_file basetemp target...`: it fails
+# if numpy kept a target the environment disabled, then runs the golden file's cases.
+_ON_BASELINE = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+golden, basetemp, *targets = sys.argv[1:]
+kept = [t for t in targets if __cpu_features__[t]]
+assert not kept, f"NPY_DISABLE_CPU_FEATURES left {kept} enabled"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "--basetemp", basetemp,
+                      "-k", "not baseline_simd", golden]))
+"""
+
+
+def test_goldens_hold_on_the_baseline_simd_target(tmp_path):
+    # numpy picks a SIMD kernel per host; the hashes must not depend on which.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("no SIMD target above numpy's baseline is enabled on this host")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _ON_BASELINE, __file__, str(tmp_path / "base"), *targets]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
