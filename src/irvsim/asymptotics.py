@@ -54,14 +54,19 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     n = s.size
     if n == 0:
         raise DomainError("need at least one sample")
+    if np.isnan(s[-1]):  # NaN sorts last
+        raise DomainError("samples must not be NaN")
     below = above = -np.inf
     for b in range(0, n, _KS_BLOCK):
         e = min(b + _KS_BLOCK, n)
         f = np.asarray(cdf(s[b:e]), dtype=float)
         steps = np.arange(b, e + 1) / n
-        below = max(below, np.max(f - steps[:-1]))
-        above = max(above, np.max(steps[1:] - f))
-    return float(max(below, above))
+        # np.maximum, unlike max, keeps a NaN from the CDF.
+        below = np.maximum(below, np.max(f - steps[:-1]))
+        above = np.maximum(above, np.max(steps[1:] - f))
+    ks = float(np.maximum(below, above))
+    require(0.0 <= ks <= 1.0, f"KS distance {ks} outside [0, 1]")
+    return ks
 
 
 def spacings(n: int, trials: int, rng) -> np.ndarray:

@@ -52,7 +52,7 @@ class PiecewisePolynomial:
         """Evaluate at float scalar or array x within the support."""
         xa = np.asarray(x, dtype=float)
         lo, hi = self.support
-        if np.any(xa < lo) or np.any(xa > hi):
+        if xa.size and not (xa.min() >= lo and xa.max() <= hi):  # NaN fails too
             raise DomainError(f"argument outside support [{lo}, {hi}]")
         bp = np.array([float(b) for b in self.breakpoints])
         idx = np.clip(np.searchsorted(bp, xa, side="right") - 1, 0, len(self.coefficients) - 1)

@@ -46,26 +46,22 @@ class Rule(enum.Enum):
 
 
 class Profile:
-    """Strictly sorted candidate positions in [0, 1].
+    """Strictly increasing candidate positions in [0, 1].
 
-    Positions may be given in any order; the sort permutation is kept so that
-    winner indices refer to the caller's original labeling.
+    Positions may be given in any order; they are sorted, and candidate i is
+    the i-th from the left in every index the tabulators report.
     """
 
     def __init__(self, positions):
-        pos = np.asarray(list(positions), dtype=float)
+        pos = np.sort(np.asarray(list(positions), dtype=float))
         if pos.ndim != 1 or pos.size < 1:
             raise InvalidProfileError("need at least one candidate position")
         if not np.all((pos >= 0.0) & (pos <= 1.0)):  # NaN fails both tests
             raise InvalidProfileError("candidate positions must lie in [0, 1]")
-        order = np.argsort(pos, kind="stable")
-        srt = pos[order]
-        if np.any(np.diff(srt) == 0.0):
+        if np.any(np.diff(pos) == 0.0):
             raise InvalidProfileError("duplicate candidate positions")
-        self._sorted = srt
-        self._order = order  # order[j] = original index of j-th sorted candidate
-        self._sorted.setflags(write=False)
-        self._order.setflags(write=False)
+        pos.setflags(write=False)
+        self._sorted = pos
 
     @property
     def k(self) -> int:
@@ -75,16 +71,12 @@ class Profile:
     def sorted_positions(self):
         return self._sorted
 
-    @property
-    def sort_order(self):
-        return self._order
-
-    def position(self, original_index: int) -> float:
-        i = check_int("candidate index", original_index, 0)
+    def position(self, index: int) -> float:
+        """The position of candidate `index`, the index-th from the left."""
+        i = check_int("candidate index", index, 0)
         if i >= self.k:
             raise DomainError(f"candidate index {i} is out of range for {self.k} candidates")
-        j = int(np.nonzero(self._order == i)[0][0])
-        return float(self._sorted[j])
+        return float(self._sorted[i])
 
     def __repr__(self):
         return f"Profile({self._sorted.tolist()})"
@@ -92,17 +84,17 @@ class Profile:
 
 @dataclass(frozen=True)
 class Round:
-    active: tuple  # original candidate indices, in left-right order
+    active: tuple  # candidate indices, in increasing (left-right) order
     shares: tuple  # vote shares, same order; sum to 1
 
 
 @dataclass(frozen=True)
 class TabulationOutcome:
     rounds: tuple
-    elimination_order: tuple  # original indices, in elimination order
-    winner_index: int  # original labeling
+    elimination_order: tuple  # candidate indices, in elimination order
+    winner_index: int
     winner_position: float
-    tie_events: tuple = field(default_factory=tuple)  # (round_index, tied originals)
+    tie_events: tuple = field(default_factory=tuple)  # (round_index, tied indices)
 
 
 def vote_shares(p: Profile, d: VoterDistribution) -> np.ndarray:
@@ -113,20 +105,14 @@ def vote_shares(p: Profile, d: VoterDistribution) -> np.ndarray:
 def plurality_winner(p: Profile, d: VoterDistribution):
     """Single-round winner: argmax of vote shares; among exact ties, the rightmost wins."""
     shares = vote_shares(p, d)
-    originals = p.sort_order
-    top = shares.max()
-    tied = np.nonzero(shares == top)[0]
-    tie_events = ()
-    if tied.size > 1:
-        tie_events = ((0, tuple(int(originals[j]) for j in tied)),)
+    tied = np.nonzero(shares == shares.max())[0].tolist()
     # Eliminating leftmost among ties leaves the rightmost tied candidate as winner.
-    j = tied[-1]
     return TabulationOutcome(
-        rounds=(Round(tuple(int(i) for i in originals), tuple(shares)),),
+        rounds=(Round(tuple(range(p.k)), tuple(shares)),),
         elimination_order=(),
-        winner_index=int(originals[j]),
-        winner_position=float(p.sorted_positions[j]),
-        tie_events=tie_events,
+        winner_index=tied[-1],
+        winner_position=float(p.sorted_positions[tied[-1]]),
+        tie_events=((0, tuple(tied)),) if len(tied) > 1 else (),
     )
 
 
@@ -136,29 +122,24 @@ def irv_winner(p: Profile, d: VoterDistribution):
     Among exact ties at the smallest share the leftmost is eliminated; each
     tie is recorded in `tie_events`.
     """
-    srt = p.sorted_positions.copy()
-    originals = list(int(i) for i in p.sort_order)
+    active = list(range(p.k))
     rounds = []
     elim = []
     ties = []
-    while srt.size > 1:
-        shares = shares_batch(srt[None, :], d)[0]
-        rounds.append(Round(tuple(originals), tuple(shares)))
-        low = shares.min()
-        tied = np.nonzero(shares == low)[0]
+    while len(active) > 1:
+        shares = shares_batch(p.sorted_positions[None, active], d)[0]
+        rounds.append(Round(tuple(active), tuple(shares)))
+        tied = np.nonzero(shares == shares.min())[0]
         if tied.size > 1:
-            ties.append((len(rounds) - 1, tuple(originals[j] for j in tied)))
-        j = int(tied[0])
-        elim.append(originals[j])
-        srt = np.delete(srt, j)
-        del originals[j]
+            ties.append((len(rounds) - 1, tuple(active[j] for j in tied)))
+        elim.append(active.pop(int(tied[0])))
     if not rounds:  # k == 1
-        rounds.append(Round((originals[0],), (1.0,)))
+        rounds.append(Round((0,), (1.0,)))
     return TabulationOutcome(
         rounds=tuple(rounds),
         elimination_order=tuple(elim),
-        winner_index=originals[0],
-        winner_position=float(srt[0]),
+        winner_index=active[0],
+        winner_position=float(p.sorted_positions[active[0]]),
         tie_events=tuple(ties),
     )
 
@@ -166,16 +147,15 @@ def irv_winner(p: Profile, d: VoterDistribution):
 def _ranking_regions(p: Profile, d: VoterDistribution):
     """The constant-ranking regions of [0, 1]: each one's ranking and F-mass.
 
-    A ranking is a tuple of original candidate indices sorted by increasing
-    distance from the voter. It is constant between consecutive pairwise
-    bisectors, so the regions are the gaps between them and each region has
-    its own ranking; a bisector (F-mass zero) holds no voter.
+    A ranking is a tuple of candidate indices sorted by increasing distance
+    from the voter. It is constant between consecutive pairwise bisectors, so
+    the regions are the gaps between them and each region has its own ranking;
+    a bisector (F-mass zero) holds no voter.
     """
     srt = p.sorted_positions
-    originals = p.sort_order
     k = srt.size
     if k == 1:
-        return [(int(originals[0]),)], np.ones(1)
+        return [(0,)], np.ones(1)
     # Bisectors of all candidate pairs partition [0, 1] into constant-ranking regions.
     # np.unique's bounds, without the numpy.ma import it costs in numpy 2.4.
     mids = np.sort((srt[:, None] + srt[None, :])[np.triu_indices(k, 1)] / 2.0)
@@ -183,7 +163,7 @@ def _ranking_regions(p: Profile, d: VoterDistribution):
     edges = np.concatenate(([0.0], bounds, [1.0]))
     reps = 0.5 * (edges[:-1] + edges[1:])
     ranks = np.argsort(np.abs(reps[:, None] - srt[None, :]), axis=1, kind="stable")
-    return [tuple(r) for r in originals[ranks].tolist()], np.diff(d.cdf(edges))
+    return [tuple(r) for r in ranks.tolist()], np.diff(d.cdf(edges))
 
 
 def ballot_masses(p: Profile, d: VoterDistribution) -> Counter:
@@ -210,14 +190,13 @@ def sample_ballots(p: Profile, d: VoterDistribution, n_voters: int, rng) -> Coun
     return Counter({rankings[r]: int(counts[r]) for r in np.nonzero(counts)[0]})
 
 
-def irv_discrete(ballots, positions=None) -> int:
+def irv_discrete(ballots) -> int:
     """Standard IRV on a ballot multiset; returns the winning candidate index.
 
     `ballots` is a Counter (or iterable of ranking tuples) whose values may be
     any nonnegative weights: voter counts from sample_ballots, or exact voter
-    masses from ballot_masses. Leftmost elimination orders tied candidates by
-    `positions` (mapping index -> position) when given, falling back to index
-    order.
+    masses from ballot_masses. Candidates are numbered from the left, so
+    leftmost elimination among tied candidates eliminates the smallest index.
     """
     if not isinstance(ballots, Counter):
         ballots = Counter(ballots)
@@ -226,7 +205,6 @@ def irv_discrete(ballots, positions=None) -> int:
     active = set()
     for ranking in ballots:
         active.update(ranking)
-    place = {i: i for i in active} if positions is None else positions
     while len(active) > 1:
         counts = {i: 0 for i in active}
         for ranking, n in ballots.items():
@@ -235,7 +213,7 @@ def irv_discrete(ballots, positions=None) -> int:
                     counts[i] += n
                     break
         # The smallest count loses; among ties, the leftmost.
-        active.remove(min(active, key=lambda i: (counts[i], place[i])))
+        active.remove(min(active, key=lambda i: (counts[i], i)))
     return next(iter(active))
 
 

@@ -17,7 +17,7 @@ from irvsim.asymptotics import (
     winning_share_experiment,
 )
 from irvsim.dist import Uniform
-from irvsim.errors import DomainError
+from irvsim.errors import CheckFailed, DomainError
 from irvsim.exactk3 import density_k3
 from irvsim.experiments import RunSpec
 from irvsim.tabulate import Rule, shares_batch
@@ -34,6 +34,19 @@ def test_ks_statistic_perfect_fit():
     s = np.linspace(0.0005, 0.9995, 1000)
     assert ks_statistic(s, lambda x: x) < 1e-3
     assert ks_statistic(np.zeros(10), lambda x: np.full_like(x, 0.5)) == 0.5
+
+
+def test_ks_statistic_refuses_nan_samples():
+    with pytest.raises(DomainError, match="NaN"):
+        ks_statistic([0.1, math.nan, 0.3], gumbel_cdf)
+
+
+@pytest.mark.parametrize("n, nan_above", [(3, -1.0), (40_000, 0.9)])
+def test_ks_statistic_refuses_a_nan_cdf(n, nan_above):
+    # A NaN block must not be dropped from the fold; 40,000 samples span three blocks.
+    s = np.random.default_rng(0).random(n)
+    with pytest.raises(CheckFailed, match="outside"):
+        ks_statistic(s, lambda x: np.where(x > nan_above, np.nan, x))
 
 
 def _ks_one_shot(samples, cdf):

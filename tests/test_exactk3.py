@@ -6,6 +6,7 @@ import pytest
 from irvsim.errors import DomainError
 from irvsim.exactk3 import (
     PiecewisePolynomial,
+    density_k3,
     irv_density_k3,
     irv_tail_density,
     order_statistic_win_prob,
@@ -34,6 +35,12 @@ def test_piecewise_evaluation_and_integral():
     assert np.allclose(pp(np.array([0.25, 1.75])), [0.25, 0.25])
     with pytest.raises(DomainError):
         pp(2.5)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.array([0.2, np.nan])])
+def test_piecewise_refuses_nan(x):
+    with pytest.raises(DomainError, match="outside support"):
+        density_k3(Rule.IRV)(x)
 
 
 def test_densities_integrate_to_one_exactly():

@@ -69,12 +69,11 @@ def test_profile_repr_prints_plain_floats():
     assert repr(Profile([0.0, 0.1])) == "Profile([0.0, 0.1])"
 
 
-def test_profile_preserves_original_labels():
+def test_profile_numbers_candidates_left_to_right():
     p = Profile([0.9, 0.1, 0.5])
-    assert p.position(0) == 0.9
-    assert p.position(1) == 0.1
+    assert [p.position(i) for i in range(3)] == [0.1, 0.5, 0.9]
     assert list(p.sorted_positions) == [0.1, 0.5, 0.9]
-    assert list(p.sort_order) == [1, 2, 0]
+    assert not hasattr(p, "sort_order")
 
 
 def test_vote_shares_uniform():
@@ -212,22 +211,22 @@ def test_sample_ballots_stream_is_pinned():
     # generator is left in the same state (the grid profile's bisectors coincide).
     p = Profile([0.62, 0.1, 0.45, 0.93, 0.3])
     assert sample_ballots(p, SymmetricBeta(0.3), 10_000, np.random.default_rng(20261019)) == {
-        (1, 4, 2, 0, 3): 3504, (4, 1, 2, 0, 3): 404, (4, 2, 1, 0, 3): 403,
-        (4, 2, 0, 1, 3): 90, (2, 4, 0, 1, 3): 378, (2, 0, 4, 1, 3): 261,
-        (2, 0, 4, 3, 1): 94, (0, 2, 4, 3, 1): 366, (0, 2, 3, 4, 1): 388,
-        (0, 3, 2, 4, 1): 442, (3, 0, 2, 4, 1): 3670,
+        (0, 1, 2, 3, 4): 3504, (1, 0, 2, 3, 4): 404, (1, 2, 0, 3, 4): 403,
+        (1, 2, 3, 0, 4): 90, (2, 1, 3, 0, 4): 378, (2, 3, 1, 0, 4): 261,
+        (2, 3, 1, 4, 0): 94, (3, 2, 1, 4, 0): 366, (3, 2, 4, 1, 0): 388,
+        (3, 4, 2, 1, 0): 442, (4, 3, 2, 1, 0): 3670,
     }
     rng = np.random.default_rng(7)
     assert sample_ballots(Profile([0.5, 0.0, 0.75, 0.25, 1.0]), U, 1000, rng) == {
-        (1, 3, 0, 2, 4): 130, (3, 1, 0, 2, 4): 117, (3, 0, 1, 2, 4): 110,
-        (0, 3, 2, 1, 4): 134, (0, 2, 3, 4, 1): 131, (2, 0, 4, 3, 1): 126,
-        (2, 4, 0, 3, 1): 131, (4, 2, 0, 3, 1): 121,
+        (0, 1, 2, 3, 4): 130, (1, 0, 2, 3, 4): 117, (1, 2, 0, 3, 4): 110,
+        (2, 1, 3, 0, 4): 134, (2, 3, 1, 4, 0): 131, (3, 2, 4, 1, 0): 126,
+        (3, 4, 2, 1, 0): 131, (4, 3, 2, 1, 0): 121,
     }
     assert rng.random() == 0.9955002834343927
 
 
 def test_ballot_masses_are_the_region_masses():
-    assert ballot_masses(Profile([0.75, 0.125]), U) == {(1, 0): 0.4375, (0, 1): 0.5625}
+    assert ballot_masses(Profile([0.75, 0.125]), U) == {(0, 1): 0.4375, (1, 0): 0.5625}
     assert ballot_masses(Profile([0.3]), U) == {(0,): 1.0}
 
 
@@ -243,6 +242,28 @@ def test_irv_discrete_on_ballot_masses_matches_irv_winner(name):
             assert irv_discrete(ballot_masses(p, d)) == irv_winner(p, d).winner_index, p
 
 
+@pytest.mark.parametrize("name", sorted(DISTS))
+def test_every_tabulator_numbers_candidates_left_to_right(name):
+    # Any input order gives the same outcome, in left-to-right indices.
+    d = DISTS[name]
+    rng = np.random.default_rng(20261022)
+    for k in range(1, 13):
+        for _ in range(10):
+            p = Profile(d.sample(rng, k))
+            shuffled = Profile(rng.permutation(p.sorted_positions))
+            for tabulator in (plurality_winner, irv_winner):
+                out = tabulator(p, d)
+                assert tabulator(shuffled, d) == out, p
+                assert p.sorted_positions[out.winner_index] == out.winner_position
+                assert out.rounds[0].active == tuple(range(k))
+            active = tuple(range(k))  # out is irv_winner's: each round drops its loser
+            for r, gone in zip(out.rounds, out.elimination_order):
+                assert r.active == active
+                active = tuple(i for i in active if i != gone)
+            assert active == (out.winner_index,)
+            assert irv_discrete(ballot_masses(shuffled, d)) == out.winner_index, p
+
+
 def test_irv_discrete_identical_ballots():
     assert irv_discrete([(2, 0, 1)] * 5) == 2
 
@@ -256,8 +277,7 @@ def test_irv_discrete_matches_continuous():
         if np.min(np.abs(np.diff(np.sort(shares)))) < 0.02:
             continue  # margin filter: skip knife-edge profiles
         ballots = sample_ballots(p, U, 100_000, rng)
-        disc = irv_discrete(ballots, positions={i: p.position(i) for i in range(k)})
-        assert disc == irv_winner(p, U).winner_index
+        assert irv_discrete(ballots) == irv_winner(p, U).winner_index
 
 
 def test_batch_agrees_with_scalar():
